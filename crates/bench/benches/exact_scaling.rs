@@ -1,5 +1,5 @@
 //! Exact-solver scaling — the empirical face of Theorem 4.2's
-//! NP-completeness: Held–Karp time doubles (×2) per added edge, while the
+//! NP-completeness: exact-DP time doubles (×2) per added edge, while the
 //! guaranteed approximation stays polynomial.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

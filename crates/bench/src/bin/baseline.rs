@@ -369,6 +369,9 @@ fn main() {
         // CLI writes traces without one, so for this case the keys
         // would read "missing" on every CI check — drop them.
         stats.counters.retain(|k, _| !k.starts_with("mem."));
+        // Admission-to-execution wait is a duration, not work done: it
+        // depends on arrival timing like the `par.*` batches above.
+        stats.counters.remove("serve.queue_wait_us");
         cases.push(Case {
             family: "serve_loadgen".into(),
             solver: "serve".to_string(),

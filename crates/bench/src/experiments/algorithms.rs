@@ -233,8 +233,8 @@ pub fn e11_exact_scaling() -> (String, bool) {
     out.push_str(&table.render());
     writeln!(
         out,
-        "\nExact-time growth ratio across m = 12 → 20: {growth:.0}× (Held–Karp is \
-         Θ(2^m·m·Δ); a polynomial algorithm would contradict Theorem 4.2 unless P = NP)."
+        "\nExact-time growth ratio across m = 12 → 20: {growth:.0}× (the layered exact \
+         DP is Θ((J+1)·2^m·m); a polynomial algorithm would contradict Theorem 4.2 unless P = NP)."
     )
     .unwrap();
     verdict_line(&mut out, pass);

@@ -181,9 +181,9 @@ fn run_pebbler(
         // memoized entry points: recognizers + cache in front of the solver
         ("auto", Some(m)) => jp_pebble::memo::solve_with_memo(g, m, threads).map_err(rt),
         ("exact", Some(m)) => exact::optimal_scheme_memo(g, m).map_err(rt),
-        ("portfolio", Some(m)) => {
-            jp_pebble::portfolio::portfolio_scheme_memo(g, threads, Some(m)).map_err(rt)
-        }
+        ("portfolio", Some(m)) => jp_pebble::portfolio::portfolio_scheme_memo(g, threads, Some(m))
+            .map(|(s, _)| s)
+            .map_err(rt),
         ("auto", None) => {
             if properties::is_equijoin_graph(g) {
                 pebble_equijoin(g).map_err(rt)

@@ -85,7 +85,7 @@ ALGORITHMS (jp pebble --algo):
   euler      linear-time Euler-trail pebbler
   cover      greedy path cover
   nn         nearest neighbour
-  exact      Held–Karp optimum (components ≤ 20 edges)
+  exact      exact-DP optimum (components ≤ 20 edges)
   bb         branch-and-bound optimum (budgeted, [--budget NODES])
   portfolio  race the whole ladder on a work-stealing runtime
   all        run every applicable solver and compare

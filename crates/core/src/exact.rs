@@ -2,25 +2,41 @@
 //!
 //! `PEBBLE` is NP-complete (Theorem 4.2), so exactness costs exponential
 //! time: we solve the equivalent minimum-jump Hamiltonian-path problem on
-//! `L(G)` (Proposition 2.2) with a Held–Karp bitmask DP, per connected
-//! component (justified by the additivity Lemma 2.2). `O(2^m · m · Δ)`
-//! time and `O(2^m · m)` bytes per component — practical to `m ≈ 20`
-//! edges per component, which is exactly the regime the experiments need
-//! (closed-form families cover the large instances).
+//! `L(G)` (Proposition 2.2) per connected component (justified by the
+//! additivity Lemma 2.2). The search itself is the layered endpoint-set
+//! DP of [`jp_graph::hamilton::min_jump_layers`]; this module wraps it in
+//! the `exact` span, its work counters and the portfolio's abandon
+//! polling. For a component with `m` edges and minimum jump count `J` it
+//! takes `O((J + 1) · 2^m · m)` time and `(J + 1) · 2^m · 4` bytes, where
+//! `J ≤ ⌈m/4⌉` on connected components by the 1.25 upper bound
+//! (Theorem 3.1) — practical to `m ≈ 20` edges per component, which is
+//! exactly the regime the experiments need (closed-form families cover
+//! the large instances). On an arbitrary TSP(1,2) weight-1 graph with `n`
+//! nodes ([`min_jump_tour`], [`optimal_tsp_cost`]) `J` can reach `n − 1`
+//! — 20 isolated nodes take 20 layers, 80 MiB — so the bytes bound there
+//! is `n · 2^n · 4`.
+//!
+//! Counters per [`min_jump_tour`] call: `exact.dp_states` is the DP
+//! cells allocated, `(J + 1) · 2^m`; `exact.dp_bytes` is four bytes per
+//! cell; `exact.subset_iterations` is the masks expanded, summed over
+//! the layers; `exact.abandoned_at_mask` is the mask at which a raced
+//! search gave up.
 
 use crate::memo::Memo;
 use crate::scheme::PebblingScheme;
 use crate::tsp::Tsp12;
 use crate::PebbleError;
+use jp_graph::hamilton::min_jump_layers;
 use jp_graph::{BipartiteGraph, ComponentMap, Graph};
 
 /// Default per-component edge limit for the exact solver.
 pub const MAX_EXACT_EDGES: usize = 20;
 
-const INF: u8 = u8::MAX;
-
 /// Minimum-jump Hamiltonian path over the weight-1 graph `ones`:
 /// returns `(tour, jumps)` minimizing the number of weight-2 steps.
+/// Takes `(jumps + 1) · 2^n · 4` bytes for `n` nodes; `jumps` is at most
+/// `⌈n/4⌉` on line graphs of connected join graphs but up to `n − 1` on
+/// sparse or disconnected graphs.
 ///
 /// # Panics
 /// Panics if `ones` has more than [`MAX_EXACT_EDGES`] vertices (callers
@@ -34,17 +50,12 @@ pub fn min_jump_tour(ones: &Graph) -> (Vec<u32>, usize) {
     }
 }
 
-/// How many DP subset rows to process between abandon polls. Each row is
-/// `O(n · Δ)` work, so this keeps poll overhead invisible while giving the
-/// portfolio racer millisecond-scale abort latency on 20-vertex instances.
-const ABANDON_POLL_MASKS: usize = 4096;
-
-/// [`min_jump_tour`] that can be raced: `abandon` is polled every
-/// [`ABANDON_POLL_MASKS`] DP rows, and a `true` return makes the search
-/// give up and return `None`. The portfolio runtime uses this to cut the
-/// exact strategy short the moment a heuristic proves it can no longer
-/// win. With a constant-`false` closure the behaviour and result are
-/// exactly [`min_jump_tour`]'s.
+/// [`min_jump_tour`] that can be raced: `abandon` is polled every 4096
+/// masks of each DP layer (see [`min_jump_layers`]), and a `true` return
+/// makes the search give up and return `None`. The portfolio runtime
+/// uses this to cut the exact strategy short the moment a heuristic
+/// proves it can no longer win. With a constant-`false` closure the
+/// behaviour and result are exactly [`min_jump_tour`]'s.
 ///
 /// # Panics
 /// As [`min_jump_tour`].
@@ -62,104 +73,23 @@ pub(crate) fn min_jump_tour_racing(
         n <= MAX_EXACT_EDGES,
         "instance too large for exact DP ({n} nodes)"
     );
-    if n == 1 {
-        jp_obs::counter("exact", "dp_states", 1);
-        return Some((vec![0], 0));
-    }
-    let full = (1usize << n) - 1;
-    let mut dp = vec![INF; (full + 1) * n];
-    jp_obs::counter("exact", "dp_states", dp.len() as u64);
-    jp_obs::counter("exact", "dp_bytes", dp.len() as u64);
-    jp_pulse::counter_add("exact.dp_states", dp.len() as u64);
-    let mut subset_iterations: u64 = 0;
-    let mut dp_improvements: u64 = 0;
-    for v in 0..n {
-        // audit:allow(panic-freedom) dp has (full+1)*n slots; (1<<v) <= full and v < n
-        dp[(1usize << v) * n + v] = 0;
-    }
-    for mask in 1..=full {
-        if mask % ABANDON_POLL_MASKS == 0 && abandon() {
+    let poll = |mask: usize| {
+        let stop = abandon();
+        if stop {
             jp_obs::counter("exact", "abandoned_at_mask", mask as u64);
-            return None;
         }
-        for v in 0..n {
-            // audit:allow(panic-freedom) mask <= full and v < n, so mask*n+v < dp.len()
-            let cur = dp[mask * n + v];
-            if cur == INF || mask & (1 << v) == 0 {
-                continue;
-            }
-            subset_iterations += 1;
-            // good transitions
-            for &w in ones.neighbors(v as u32) {
-                let w = w as usize;
-                if mask & (1 << w) == 0 {
-                    // audit:allow(panic-freedom) mask|bit(w) <= full (w < n) and dp.len() = (full+1)*n
-                    let slot = &mut dp[(mask | (1 << w)) * n + w];
-                    if cur < *slot {
-                        *slot = cur;
-                        dp_improvements += 1;
-                    }
-                }
-            }
-            // bad transitions (jump to any unvisited node)
-            let cost = cur.saturating_add(1);
-            let mut rest = !mask & full;
-            while rest != 0 {
-                let w = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                // audit:allow(panic-freedom) rest ⊆ full, so w < n and mask|bit(w) <= full
-                let slot = &mut dp[(mask | (1 << w)) * n + w];
-                if cost < *slot {
-                    *slot = cost;
-                    dp_improvements += 1;
-                }
-            }
-        }
-    }
-    jp_obs::counter("exact", "subset_iterations", subset_iterations);
-    jp_obs::counter("exact", "dp_improvements", dp_improvements);
-    let (mut best_v, mut best) = (0usize, INF);
-    for v in 0..n {
-        // audit:allow(panic-freedom) full*n+v < (full+1)*n = dp.len() for v < n
-        if dp[full * n + v] < best {
-            best = dp[full * n + v];
-            best_v = v;
-        }
-    }
-    // Reconstruct backwards.
-    let mut tour = vec![best_v as u32];
-    let mut mask = full;
-    let mut v = best_v;
-    let mut jumps_left = best;
-    while mask.count_ones() > 1 {
-        let prev_mask = mask & !(1usize << v);
-        let mut found = false;
-        for u in 0..n {
-            if prev_mask & (1 << u) == 0 {
-                continue;
-            }
-            let step = if ones.has_edge(u as u32, v as u32) {
-                0
-            } else {
-                1
-            };
-            // audit:allow(panic-freedom) prev_mask < mask <= full and u < n
-            if step <= jumps_left && dp[prev_mask * n + u] == jumps_left - step {
-                tour.push(u as u32);
-                mask = prev_mask;
-                v = u;
-                jumps_left -= step;
-                found = true;
-                break;
-            }
-        }
-        debug_assert!(found, "DP table inconsistent");
-        if !found {
-            break;
-        }
-    }
-    tour.reverse();
-    Some((tour, best as usize))
+        stop
+    };
+    let dp = min_jump_layers(ones, (1u32 << n) - 1, usize::MAX, &poll)?;
+    let cells = dp.cells() as u64;
+    jp_obs::counter("exact", "dp_states", cells);
+    jp_obs::counter("exact", "dp_bytes", 4 * cells);
+    jp_pulse::counter_add("exact.dp_states", cells);
+    jp_obs::counter("exact", "subset_iterations", dp.expanded());
+    // with no jump cap the last layer reaches the full mask (any vertex
+    // order is a path with n − 1 jumps), so its lowest end has a path
+    let tour = dp.path_to(dp.ends().trailing_zeros())?;
+    Some((tour, dp.jumps()))
 }
 
 /// Per-component exact solution: `(edge order, jumps)` for each connected
@@ -191,7 +121,7 @@ fn solve_components_memo(
 /// *exact-only* slice of the cache — both proved optimal, so the result
 /// keeps the exact solver's guarantee — and a served component skips its
 /// size check entirely: a recognized `K_{6,7}` no longer trips the
-/// Held–Karp wall. Fresh DP solutions are recorded as exact entries.
+/// 20-edge wall. Fresh DP solutions are recorded as exact entries.
 /// With `memo == None` the behaviour is byte-for-byte the old one.
 pub(crate) fn solve_components_racing(
     g: &BipartiteGraph,
@@ -318,10 +248,12 @@ pub fn pebble_decision(g: &BipartiteGraph, k: usize) -> Result<bool, PebbleError
 
 /// Exact minimum TSP(1,2) tour cost over an arbitrary instance (used by
 /// the §4 reduction experiments, where instances are not line graphs).
+/// Memory is [`min_jump_tour`]'s: up to `n · 2^n · 4` bytes when the
+/// weight-1 graph is sparse enough to force `n − 1` jumps.
 ///
 /// # Panics
 /// Panics if the instance has more than [`MAX_EXACT_EDGES`] nodes (the
-/// Held–Karp memory wall); gate on [`Tsp12::n`] first.
+/// exact DP's memory wall); gate on [`Tsp12::n`] first.
 // audit:allow(obs-coverage) thin wrapper — min_jump_tour opens the exact span
 pub fn optimal_tsp_cost(tsp: &Tsp12) -> usize {
     let n = tsp.n();
@@ -475,5 +407,16 @@ mod tests {
         assert_eq!(tour.len(), lg.vertex_count() as usize);
         let recount = tour.windows(2).filter(|w| !lg.has_edge(w[0], w[1])).count();
         assert_eq!(recount, jumps);
+    }
+
+    #[test]
+    fn racing_gives_up_at_the_first_poll_once_abandoned() {
+        // 14 line-graph vertices: layer 0 alone spans four poll chunks
+        let lg = jp_graph::line_graph(&generators::spider(7));
+        assert!(min_jump_tour_racing(&lg, &|| true).is_none());
+        assert_eq!(
+            min_jump_tour_racing(&lg, &|| false),
+            Some(min_jump_tour(&lg))
+        );
     }
 }

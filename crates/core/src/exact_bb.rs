@@ -1,7 +1,7 @@
 //! Branch-and-bound exact solver for minimum-jump Hamiltonian paths.
 //!
-//! [`crate::exact`]'s Held–Karp DP is memory-bound at ~20 line-graph
-//! vertices (`2^m` words). This module trades guaranteed polynomial
+//! [`crate::exact`]'s layered DP is memory-bound at ~20 line-graph
+//! vertices (`(J+1)·2^m` words). This module trades guaranteed polynomial
 //! *space* for worst-case exponential time: depth-first search over
 //! partial tours with
 //!

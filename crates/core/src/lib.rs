@@ -18,9 +18,9 @@
 //! * [`scheme`] — configurations, schemes, costs `π̂`/`π`, validation;
 //! * [`bounds`] — the §2.1/§3 combinatorial bounds;
 //! * [`tsp`] — the TSP(1,2) view of pebbling over line graphs (§2.2);
-//! * [`exact`] — optimal pebbling via Held–Karp over `L(G)` and the
-//!   `PEBBLE(D)` decision procedure; [`exact_bb`] — budgeted branch-and-
-//!   bound exactness beyond Held–Karp's memory wall;
+//! * [`exact`] — optimal pebbling via a layered endpoint-set DP over
+//!   `L(G)` and the `PEBBLE(D)` decision procedure; [`exact_bb`] —
+//!   budgeted branch-and-bound exactness beyond the DP's memory wall;
 //! * [`approx`] — the constructive 1.25-approximation of Theorem 3.1, the
 //!   linear-time equijoin pebbler of Theorem 4.1, and the heuristic
 //!   ladder (nearest neighbour, greedy path cover, Euler trails, 2-opt);

@@ -5,9 +5,10 @@
 //!
 //! 1. recognizer / validated cache hit via [`Memo::solve_component`];
 //! 2. on a miss, the full portfolio race
-//!    ([`crate::portfolio::portfolio_scheme_memo`], which also consults
-//!    the memo inside its exact strategy), recording the fresh result
-//!    for every later isomorphic copy.
+//!    ([`crate::portfolio::portfolio_scheme_memo`], without the memo:
+//!    step 1 already probed it), recording the fresh result once —
+//!    under the canonical form the probe computed, flagged exact when
+//!    the race proved it optimal — for every later isomorphic copy.
 //!
 //! Across a workload of repeated shapes — equijoin block unions, skewed
 //! key distributions, the §2–§3 families at many sizes — almost every
@@ -15,7 +16,7 @@
 
 use crate::memo::store::{ComponentSource, Memo};
 use crate::scheme::PebblingScheme;
-use crate::{bounds, portfolio, PebbleError};
+use crate::{portfolio, PebbleError};
 use jp_graph::{BipartiteGraph, ComponentMap};
 
 /// Per-solve provenance of a [`solve_with_memo_report`] run: how many
@@ -79,22 +80,20 @@ pub fn solve_with_memo_report(
     let mut order = Vec::with_capacity(g.edge_count());
     for edges in cm.edges_by_component() {
         let sub = g.edge_subgraph(&edges);
-        let sub_order = match memo.solve_component_traced(&sub, false) {
-            Some((o, _, ComponentSource::Recognized)) => {
+        let sub_order = match memo.probe(&sub, false) {
+            Ok((o, _, ComponentSource::Recognized)) => {
                 report.recognized += 1;
                 o
             }
-            Some((o, _, ComponentSource::Cache)) => {
+            Ok((o, _, ComponentSource::Cache)) => {
                 report.hits += 1;
                 o
             }
-            None => {
+            Err(miss) => {
                 report.fresh += 1;
-                let scheme = portfolio::portfolio_scheme_memo(&sub, threads, Some(memo))?;
+                let (scheme, proved) = portfolio::portfolio_scheme_memo(&sub, threads, None)?;
                 let o: Vec<usize> = scheme.deletion_order(&sub).into_iter().flatten().collect();
-                // proved optimal exactly when the certified floor is met
-                let exact = scheme.effective_cost(&sub) == bounds::best_lower_bound(&sub);
-                memo.record_component(&sub, &o, exact);
+                memo.record_miss(&sub, miss, &o, proved);
                 o
             }
         };

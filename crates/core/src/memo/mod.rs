@@ -37,4 +37,4 @@ pub use driver::{
     memoized_effective_cost, solve_with_memo, solve_with_memo_report, MemoSolveReport,
 };
 pub use recognize::{recognize_component, Recognized};
-pub use store::{ComponentSource, Memo, MemoStats};
+pub use store::{ComponentSource, Memo, MemoStats, Miss};

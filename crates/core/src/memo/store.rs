@@ -16,7 +16,7 @@
 
 use crate::memo::recognize::recognize_component;
 use crate::scheme::PebblingScheme;
-use jp_graph::canon::{canonical_form, CanonicalKey};
+use jp_graph::canon::{canonical_form, CanonicalForm, CanonicalKey};
 use jp_graph::BipartiteGraph;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
@@ -45,6 +45,14 @@ pub enum ComponentSource {
     Recognized,
     /// A validated cache hit under the canonical key.
     Cache,
+}
+
+/// A [`Memo::probe`] miss. It carries the component's canonical form, so
+/// recording the fresh solve through [`Memo::record_miss`] does not
+/// label the component a second time.
+#[derive(Debug)]
+pub struct Miss {
+    form: Option<Box<CanonicalForm>>,
 }
 
 /// One cached result: a deletion order in canonical edge ids, its
@@ -238,34 +246,43 @@ impl Memo {
         sub: &BipartiteGraph,
         exact_only: bool,
     ) -> Option<(Vec<usize>, usize)> {
-        self.solve_component_traced(sub, exact_only)
+        self.probe(sub, exact_only)
+            .ok()
             .map(|(order, cost, _)| (order, cost))
     }
 
     /// [`Memo::solve_component`] plus the provenance of the answer —
     /// recognizer or cache — so per-request attribution never has to
-    /// diff the shared counters under concurrency.
+    /// diff the shared counters under concurrency. A miss comes back as
+    /// a [`Miss`], for a caller that solves the component fresh and then
+    /// records it with [`Memo::record_miss`].
     // audit:allow(obs-coverage) hot per-component probe — counters cover it; a span per lookup would dwarf the lookup
-    pub fn solve_component_traced(
+    pub fn probe(
         &self,
         sub: &BipartiteGraph,
         exact_only: bool,
-    ) -> Option<(Vec<usize>, usize, ComponentSource)> {
+    ) -> Result<(Vec<usize>, usize, ComponentSource), Miss> {
         let _mem = jp_pulse::mem_scope(jp_pulse::MemScope::Memo);
         if let Some(r) = recognize_component(sub) {
             self.bump(&self.recognized, "recognized");
-            return Some((r.order, r.cost, ComponentSource::Recognized));
+            return Ok((r.order, r.cost, ComponentSource::Recognized));
         }
-        let form = canonical_form(sub)?;
+        let Some(form) = canonical_form(sub) else {
+            return Err(Miss { form: None });
+        };
+        let Some(shard) = self.shard(&form.key) else {
+            return Err(Miss { form: None });
+        };
         let entry = {
-            let shard = self.shard(&form.key)?;
             let map = lock(shard);
             match map.get(&form.key) {
                 Some(e) if !exact_only || e.exact => e.clone(),
                 _ => {
                     drop(map);
                     self.bump(&self.misses, "miss");
-                    return None;
+                    return Err(Miss {
+                        form: Some(Box::new(form)),
+                    });
                 }
             }
         };
@@ -292,12 +309,14 @@ impl Memo {
         match checked {
             Some((order, cost)) => {
                 self.bump(&self.hits, "hit");
-                Some((order, cost, ComponentSource::Cache))
+                Ok((order, cost, ComponentSource::Cache))
             }
             None => {
                 self.bump(&self.rejects, "reject");
                 self.bump(&self.misses, "miss");
-                None
+                Err(Miss {
+                    form: Some(Box::new(form)),
+                })
             }
         }
     }
@@ -310,9 +329,23 @@ impl Memo {
     // audit:allow(obs-coverage) hot per-component record — counters cover it; see solve_component
     pub fn record_component(&self, sub: &BipartiteGraph, order: &[usize], exact: bool) {
         let _mem = jp_pulse::mem_scope(jp_pulse::MemScope::Memo);
-        let Some(form) = canonical_form(sub) else {
-            return;
-        };
+        if let Some(form) = canonical_form(sub) {
+            self.insert(sub, form, order, exact);
+        }
+    }
+
+    /// [`Memo::record_component`] for the component `sub` whose
+    /// [`Memo::probe`] returned `miss`, reusing the canonical form the
+    /// probe already computed.
+    // audit:allow(obs-coverage) hot per-component record — counters cover it; see solve_component
+    pub fn record_miss(&self, sub: &BipartiteGraph, miss: Miss, order: &[usize], exact: bool) {
+        let _mem = jp_pulse::mem_scope(jp_pulse::MemScope::Memo);
+        if let Some(form) = miss.form {
+            self.insert(sub, *form, order, exact);
+        }
+    }
+
+    fn insert(&self, sub: &BipartiteGraph, form: CanonicalForm, order: &[usize], exact: bool) {
         // Only record orders that build a valid covering scheme — the
         // cost stored is the one the rebuilt scheme actually achieves.
         let Ok(scheme) = PebblingScheme::from_edge_sequence(sub, order) else {

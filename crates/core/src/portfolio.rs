@@ -2,8 +2,8 @@
 //! `jp-par` work-stealing runtime, against one shared incumbent.
 //!
 //! The ladder of §3–§4 spans five orders of magnitude in cost: the exact
-//! Held–Karp DP proves optimality but burns `O(2^m)` work, while
-//! `dfs_partition` gives the constructive 1.25 guarantee in linear time.
+//! DP proves optimality but burns `O(2^m)` work, while `dfs_partition`
+//! gives the constructive 1.25 guarantee in linear time.
 //! Instead of picking one solver per instance, [`portfolio_scheme`] races
 //! them all and keeps the best scheme any of them produced:
 //!
@@ -15,14 +15,19 @@
 //!   reaches it, every still-running strategy is provably unable to
 //!   improve the answer and *abandons* its remaining work;
 //! * the expensive strategies are **pollable**: the exact DP checks the
-//!   incumbent between subset rows
+//!   incumbent every few thousand DP masks
 //!   ([`crate::exact`]'s racing entry point), and the local-search
 //!   ladder checks between improvement passes, so a cheap heuristic
 //!   that certifies optimality cuts the exponential work short within
-//!   milliseconds.
+//!   milliseconds;
+//! * a finished exact solve is a **proof** too: once the exact strategy
+//!   has offered its optimum, the race is marked proved and every
+//!   strategy that has not started yet (or is between polls) gives up,
+//!   even when the optimum lies above the floor.
 //!
 //! Abandonment is *sound*: a strategy gives up only when the incumbent
-//! already equals the floor, a cost its own result could at best match.
+//! already equals the floor, or the exact optimum is already on offer —
+//! a cost its own result could at best match.
 //! Hence the returned cost is identical for every thread count — with
 //! one worker nothing is ever abandoned mid-race on the result path,
 //! with many workers the same minimum is found sooner. The winning
@@ -40,7 +45,7 @@ use crate::scheme::PebblingScheme;
 use crate::tsp::Tsp12;
 use crate::{bounds, PebbleError};
 use jp_graph::BipartiteGraph;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// The racing strategies, in ladder order. The position doubles as the
@@ -70,25 +75,30 @@ struct Best {
 }
 
 /// Shared race state: the atomic incumbent every strategy polls, the
-/// certified floor below which no scheme can go, and the best scheme so
-/// far.
+/// certified floor below which no scheme can go, whether an offered
+/// scheme is already proved optimal, and the best scheme so far.
 struct Race {
     incumbent: AtomicUsize,
     floor: usize,
+    proved: AtomicBool,
     best: Mutex<Option<Best>>,
 }
 
 impl Race {
     /// `true` while some scheme could still cost less than the incumbent.
-    /// Once `false` it stays `false` (the incumbent only decreases and
-    /// the floor is a true lower bound), which is what makes abandoning
-    /// on it sound.
+    /// Once `false` it stays `false` (the incumbent only decreases, the
+    /// floor is a true lower bound, and `proved` is only ever set after
+    /// the optimum is in `best`), which is what makes abandoning on it
+    /// sound.
     fn beatable(&self) -> bool {
-        // race:order(a stale read only delays abandonment by one poll; the incumbent is monotonically decreasing)
-        self.incumbent.load(Ordering::Relaxed) > self.floor
+        // race:order(a stale read only delays abandonment by one poll; the flag is set once, after the proved scheme is stored under the best lock)
+        !self.proved.load(Ordering::Relaxed)
+            // race:order(a stale read only delays abandonment by one poll; the incumbent is monotonically decreasing)
+            && self.incumbent.load(Ordering::Relaxed) > self.floor
     }
 
-    fn offer(&self, g: &BipartiteGraph, strategy: usize, scheme: PebblingScheme) {
+    /// Offers `scheme`; `proved` marks it optimal, which ends the race.
+    fn offer(&self, g: &BipartiteGraph, strategy: usize, scheme: PebblingScheme, proved: bool) {
         let cost = scheme.effective_cost(g);
         // race:order(fetch_min is monotone and the winning scheme is re-checked under the best lock below)
         self.incumbent.fetch_min(cost, Ordering::Relaxed);
@@ -110,15 +120,20 @@ impl Race {
                 scheme,
             });
         }
+        drop(best);
+        if proved {
+            // race:order(read by beatable() as a hint only; the proved scheme is already stored under the best lock)
+            self.proved.store(true, Ordering::Relaxed);
+        }
     }
 }
 
 /// Strategy 0: the exact solver, polled against the incumbent between DP
-/// subset rows. `None` when abandoned or when a component exceeds the
-/// Held–Karp memory wall — in a race that is a skip, not an error. With
-/// a memo, recognized/cached components are served without the DP (so
-/// the exact strategy can win even past the wall) and fresh DP results
-/// are recorded.
+/// mask chunks. A returned scheme is optimal. `None` when abandoned or
+/// when a component exceeds the exact DP's memory wall — in a race that
+/// is a skip, not an error. With a memo, recognized/cached components
+/// are served without the DP (so the exact strategy can win even past
+/// the wall) and fresh DP results are recorded.
 fn run_exact(g: &BipartiteGraph, race: &Race, memo: Option<&Memo>) -> Option<PebblingScheme> {
     if !race.beatable() {
         return None;
@@ -185,23 +200,26 @@ fn run_if_beatable(
 /// ```
 // audit:allow(obs-coverage) thin wrapper; portfolio_scheme_memo opens the span
 pub fn portfolio_scheme(g: &BipartiteGraph, threads: usize) -> Result<PebblingScheme, PebbleError> {
-    portfolio_scheme_memo(g, threads, None)
+    portfolio_scheme_memo(g, threads, None).map(|(scheme, _)| scheme)
 }
 
 /// [`portfolio_scheme`] with an optional memo threaded into the exact
-/// strategy: recognized families and proved-optimal cache entries are
+/// strategy (recognized families and proved-optimal cache entries are
 /// offered to the race without DP work, and fresh DP wins are recorded
-/// for the rest of the workload. `None` is exactly [`portfolio_scheme`].
+/// for the rest of the workload; `None` is exactly [`portfolio_scheme`]),
+/// plus whether the returned scheme is *proved* optimal: the exact
+/// strategy finished, or the winner meets the certified floor.
 pub fn portfolio_scheme_memo(
     g: &BipartiteGraph,
     threads: usize,
     memo: Option<&Memo>,
-) -> Result<PebblingScheme, PebbleError> {
+) -> Result<(PebblingScheme, bool), PebbleError> {
     let _span = jp_obs::span("portfolio", "race");
     let _mem = jp_pulse::mem_scope(jp_pulse::MemScope::Solver);
     let race = Race {
         incumbent: AtomicUsize::new(usize::MAX),
         floor: bounds::best_lower_bound(g),
+        proved: AtomicBool::new(false),
         best: Mutex::new(None),
     };
     if jp_obs::enabled() {
@@ -222,7 +240,7 @@ pub fn portfolio_scheme_memo(
         };
         match scheme {
             Some(s) => {
-                race_ref.offer(g, idx, s);
+                race_ref.offer(g, idx, s, idx == 0);
                 true
             }
             None => false,
@@ -248,12 +266,19 @@ pub fn portfolio_scheme_memo(
                     1,
                 );
             }
-            Ok(b.scheme)
+            // race:order(read after run_tasks joined every worker)
+            let proved = race.proved.load(Ordering::Relaxed) || b.cost == race.floor;
+            Ok((b.scheme, proved))
         }
         // Unreachable in practice: dfs_partition succeeds on every
         // bipartite graph and is only abandoned after some other offer
-        // already hit the floor. Kept as a fallback, not an assert.
-        None => pebble_dfs_partition(g),
+        // already hit the floor or was proved. Kept as a fallback, not an
+        // assert.
+        None => {
+            let scheme = pebble_dfs_partition(g)?;
+            let proved = scheme.effective_cost(g) == race.floor;
+            Ok((scheme, proved))
+        }
     }
 }
 
@@ -311,6 +336,43 @@ mod tests {
     fn empty_graph_costs_nothing() {
         let g = BipartiteGraph::new(2, 2, Vec::new());
         assert_eq!(portfolio_effective_cost(&g, 4).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_finished_exact_solve_ends_the_race() {
+        let g = generators::spider(4);
+        let race = Race {
+            incumbent: AtomicUsize::new(usize::MAX),
+            floor: 0,
+            proved: AtomicBool::new(false),
+            best: Mutex::new(None),
+        };
+        let heuristic = pebble_dfs_partition(&g).unwrap();
+        race.offer(&g, 3, heuristic, false);
+        assert!(
+            race.beatable(),
+            "a heuristic above the floor proves nothing"
+        );
+        race.offer(&g, 0, exact::optimal_scheme(&g).unwrap(), true);
+        assert!(!race.beatable(), "the exact optimum is on offer");
+        assert_eq!(lock(&race.best).as_ref().map(|b| b.strategy), Some(0));
+    }
+
+    #[test]
+    fn proved_flag_holds_above_the_floor_at_every_thread_count() {
+        // optimum above the certified floor: only the exact strategy can
+        // prove it, and the flag must not depend on who finished first
+        let g = generators::random_connected_bipartite(8, 8, 16, 5);
+        let opt = exact::optimal_effective_cost(&g).unwrap();
+        assert!(
+            opt > bounds::best_lower_bound(&g),
+            "instance must sit above the floor"
+        );
+        for threads in [1, 2, 8] {
+            let (s, proved) = portfolio_scheme_memo(&g, threads, None).unwrap();
+            assert_eq!(s.effective_cost(&g), opt, "{threads} threads");
+            assert!(proved, "{threads} threads");
+        }
     }
 
     #[test]

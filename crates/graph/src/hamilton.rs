@@ -1,143 +1,243 @@
-//! Exact Hamiltonian-path search.
+//! Exact Hamiltonian-path and minimum-jump path search.
 //!
 //! Proposition 2.1 of the paper: a connected graph `G` with `m` edges has a
 //! *perfect* pebbling scheme (`π(G) = m`) iff its line graph `L(G)` has a
-//! Hamiltonian path. This module provides the exact (exponential) search
-//! used to verify that equivalence on small instances and to certify the
-//! Figure 2 diamond gadget (which needs *all* Hamiltonian paths inspected).
+//! Hamiltonian path; Proposition 2.2 generalizes this to `π(G) = m + J`,
+//! where `J` is the fewest *jumps* (steps between non-adjacent vertices)
+//! of any path visiting every vertex of `L(G)`. This module provides the
+//! exact (exponential) search for both, plus the backtracking enumerator
+//! that certifies the Figure 2 diamond gadget (which needs *all*
+//! Hamiltonian paths inspected).
 //!
-//! The existence search is a Held–Karp-style bitmask DP: `dp[mask]` is the
-//! set of possible endpoints of a path visiting exactly `mask`. This is
-//! `O(2ⁿ · n · Δ)` time and `O(2ⁿ)` words of memory, practical to `n ≈ 24`.
+//! Both searches are one kernel, the layered endpoint-set DP
+//! [`min_jump_layers`]. `layer_j[mask]` is a `u32` bitset of the vertices
+//! at which a path visiting exactly `mask` with at most `j` jumps can end:
+//!
+//! * layer 0 is the Held–Karp-style Hamiltonian-path DP — a mask extends
+//!   to every free vertex adjacent to one of its endpoints, which is one
+//!   OR over the endpoints' adjacency words;
+//! * layer `j` extends the same way, and additionally to *any* free vertex
+//!   wherever layer `j − 1` is non-empty (the jump).
+//!
+//! Layers are deepened one at a time until the full mask has an endpoint,
+//! so the first non-empty layer `J` is the minimum jump count, and the
+//! path is rebuilt backwards from the stored layers. Time is
+//! `O((J + 1) · 2ⁿ · n)` and memory `(J + 1) · 2ⁿ · 4` bytes; a plain
+//! Hamiltonian-path question is the `J = 0` case and costs one layer.
+//! `J` is at most `n − 1` on any graph (every vertex order is a path with
+//! `n − 1` jumps), so a sparse or disconnected graph can need up to `n`
+//! layers; line graphs of connected join graphs need `J ≤ ⌈n/4⌉` (the
+//! 1.25 upper bound, Theorem 3.1).
 
 use crate::graph::Graph;
 
-/// Hard cap for the bitmask DP (memory is `2ⁿ` u32 words).
+/// Hard cap for the bitmask DP (memory is `2ⁿ` u32 words per layer).
 pub const MAX_DP_VERTICES: u32 = 26;
 
-fn endpoint_sets(g: &Graph) -> Vec<u32> {
+/// How many masks of a layer [`min_jump_layers`] processes between two
+/// abandon polls. Each mask is one OR per endpoint, so the polls cost
+/// nothing measurable while a racer abandoning a 20-vertex search is
+/// heard within a fraction of a millisecond. Graphs with at most 12
+/// vertices (`2¹² = 4096` masks per layer) are never polled.
+const ABANDON_POLL_MASKS: usize = 4096;
+
+/// The stored layers of one [`min_jump_layers`] run.
+#[derive(Debug, Clone)]
+pub struct JumpLayers {
+    n: usize,
+    /// `adj[v]`: bitset of `v`'s neighbours.
+    adj: Vec<u32>,
+    /// `layers[j][mask]`: endpoints of paths over `mask` with ≤ `j` jumps.
+    layers: Vec<Vec<u32>>,
+    expanded: u64,
+}
+
+impl JumpLayers {
+    /// The deepest layer computed: the minimum jump count whenever
+    /// [`JumpLayers::ends`] is non-empty.
+    pub fn jumps(&self) -> usize {
+        self.layers.len().saturating_sub(1)
+    }
+
+    /// Bitset of the vertices at which a path visiting every vertex with
+    /// at most [`JumpLayers::jumps`] jumps can end (empty when the search
+    /// stopped at its jump cap first).
+    pub fn ends(&self) -> u32 {
+        let full = (1usize << self.n) - 1;
+        self.layers
+            .last()
+            .and_then(|layer| layer.get(full))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// DP cells allocated: `(jumps + 1) · 2ⁿ`, four bytes each.
+    pub fn cells(&self) -> usize {
+        self.layers.iter().map(Vec::len).sum()
+    }
+
+    /// Masks expanded (a mask with at least one reachable free vertex),
+    /// summed over all layers.
+    pub fn expanded(&self) -> u64 {
+        self.expanded
+    }
+
+    /// A path visiting every vertex with at most [`JumpLayers::jumps`]
+    /// jumps and ending at `end`, in visit order; `None` when `end` is not
+    /// in [`JumpLayers::ends`].
+    pub fn path_to(&self, end: u32) -> Option<Vec<u32>> {
+        if self.ends() & 1u32.checked_shl(end)? == 0 {
+            return None;
+        }
+        let mut mask = (1usize << self.n) - 1;
+        let mut v = end;
+        let mut j = self.jumps();
+        let mut path = Vec::with_capacity(self.n);
+        path.push(v);
+        // Invariant: a path over `mask` with ≤ `j` jumps ends at `v`, so
+        // the lookups below stay in bounds and `j` never drops below 0.
+        while mask.count_ones() > 1 {
+            mask &= !(1usize << v);
+            let layer = |j: usize| self.layers.get(j).and_then(|l| l.get(mask)).copied();
+            let by_edge = layer(j)? & self.adj.get(v as usize)?;
+            v = if by_edge != 0 {
+                by_edge.trailing_zeros()
+            } else {
+                // no edge into `v` from this layer: the step was a jump
+                j = j.checked_sub(1)?;
+                layer(j)?.trailing_zeros()
+            };
+            path.push(v);
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// Computes the next layer; `false` when `abandon` stopped it.
+    fn deepen(&mut self, seeds: u32, abandon: &dyn Fn(usize) -> bool) -> bool {
+        let size = 1usize << self.n;
+        let full = (size - 1) as u32;
+        let prev = self.layers.last();
+        let mut cur = vec![0u32; size];
+        let mut seed = seeds & full;
+        while seed != 0 {
+            let v = seed.trailing_zeros();
+            seed &= seed - 1;
+            // audit:allow(panic-freedom) seed ⊆ full, so v < n and 1 << v < size = cur.len()
+            cur[1usize << v] |= 1 << v;
+        }
+        for mask in 1..size {
+            if mask % ABANDON_POLL_MASKS == 0 && abandon(mask) {
+                return false;
+            }
+            // audit:allow(panic-freedom) mask < size, the length of every layer
+            let reach = if prev.is_some_and(|p| p[mask] != 0) {
+                full
+            } else {
+                // audit:allow(panic-freedom) mask < size = cur.len()
+                let mut ends = cur[mask];
+                let mut reach = 0;
+                while ends != 0 {
+                    // audit:allow(panic-freedom) endpoints lie in mask ⊆ full, so each is < n = adj.len()
+                    reach |= self.adj[ends.trailing_zeros() as usize];
+                    ends &= ends - 1;
+                }
+                reach
+            };
+            let mut free = reach & !(mask as u32);
+            if free == 0 {
+                continue;
+            }
+            self.expanded += 1;
+            while free != 0 {
+                let bit = free & free.wrapping_neg();
+                free ^= bit;
+                // audit:allow(panic-freedom) adjacency words and `full` hold only bits < n, so mask | bit ≤ full < size
+                cur[mask | bit as usize] |= bit;
+            }
+        }
+        self.layers.push(cur);
+        true
+    }
+}
+
+/// The layered endpoint-set DP over `g`: paths start at a vertex of the
+/// bitset `seeds`, and layers are deepened until some path visits every
+/// vertex or the layer count reaches `max_jumps + 1`. Within every layer
+/// `abandon(mask)` is called before each mask that is a multiple of 4096,
+/// and the search gives up with `None` as soon as it returns `true`;
+/// callers that never abandon pass `&|_| false`.
+///
+/// The result holds `(J + 1) · 2ⁿ` four-byte cells, where `J` is the
+/// minimum jump count (capped at `max_jumps`): up to `n · 2ⁿ · 4` bytes
+/// on an arbitrary graph, and far less on line graphs of connected join
+/// graphs (see the module docs).
+///
+/// # Panics
+/// Panics if `g` has more than [`MAX_DP_VERTICES`] vertices.
+pub fn min_jump_layers(
+    g: &Graph,
+    seeds: u32,
+    max_jumps: usize,
+    abandon: &dyn Fn(usize) -> bool,
+) -> Option<JumpLayers> {
     let n = g.vertex_count();
+    // audit:allow(panic-freedom) documented precondition — see "# Panics" above; callers gate on size
     assert!(
         n <= MAX_DP_VERTICES,
         "hamiltonian path DP supports at most {MAX_DP_VERTICES} vertices, got {n}"
     );
+    let adj = (0..n)
+        .map(|v| g.neighbors(v).iter().fold(0u32, |w, &u| w | 1 << u))
+        .collect();
     let n = n as usize;
-    let mut dp = vec![0u32; 1 << n];
-    for v in 0..n {
-        dp[1 << v] = 1 << v;
-    }
-    for mask in 1..(1usize << n) {
-        let ends = dp[mask];
-        if ends == 0 {
-            continue;
+    let mut dp = JumpLayers {
+        n,
+        adj,
+        layers: Vec::new(),
+        expanded: 0,
+    };
+    let cap = max_jumps.min(n.saturating_sub(1));
+    loop {
+        if !dp.deepen(seeds, abandon) {
+            return None;
         }
-        let mut e = ends;
-        while e != 0 {
-            let v = e.trailing_zeros();
-            e &= e - 1;
-            for &w in g.neighbors(v) {
-                let bit = 1usize << w;
-                if mask & bit == 0 {
-                    dp[mask | bit] |= bit as u32;
-                }
-            }
+        if dp.ends() != 0 || dp.jumps() >= cap {
+            return Some(dp);
         }
     }
-    dp
+}
+
+/// Bitset of all `n` vertices.
+fn all_vertices(g: &Graph) -> u32 {
+    1u32.checked_shl(g.vertex_count())
+        .map_or(u32::MAX, |b| b - 1)
 }
 
 /// Whether `g` has a Hamiltonian path. Graphs with 0 or 1 vertices count
 /// as trivially traceable.
 pub fn has_hamiltonian_path(g: &Graph) -> bool {
-    let n = g.vertex_count() as usize;
-    if n <= 1 {
-        return true;
-    }
-    let dp = endpoint_sets(g);
-    dp[(1usize << n) - 1] != 0
+    hamiltonian_path(g).is_some()
 }
 
 /// Finds a Hamiltonian path, if one exists, as a vertex sequence.
 pub fn hamiltonian_path(g: &Graph) -> Option<Vec<u32>> {
-    let n = g.vertex_count() as usize;
-    if n == 0 {
+    if g.vertex_count() == 0 {
         return Some(Vec::new());
     }
-    if n == 1 {
-        return Some(vec![0]);
-    }
-    let dp = endpoint_sets(g);
-    let full = (1usize << n) - 1;
-    if dp[full] == 0 {
-        return None;
-    }
-    Some(reconstruct(g, &dp, full, dp[full].trailing_zeros()))
+    let dp = min_jump_layers(g, all_vertices(g), 0, &|_| false)?;
+    dp.path_to(dp.ends().trailing_zeros())
 }
 
 /// Finds a Hamiltonian path with prescribed endpoints `s` and `t`, if one
 /// exists. The returned path starts at `s` and ends at `t`.
+///
+/// # Panics
+/// Panics if `s == t`.
 pub fn hamiltonian_path_between(g: &Graph, s: u32, t: u32) -> Option<Vec<u32>> {
-    let n = g.vertex_count() as usize;
+    // audit:allow(panic-freedom) documented precondition — see "# Panics" above
     assert!(s != t, "endpoints must differ");
-    assert!(
-        n as u32 <= MAX_DP_VERTICES,
-        "hamiltonian path DP supports at most {MAX_DP_VERTICES} vertices, got {n}"
-    );
-    if n == 2 {
-        return g.has_edge(s, t).then(|| vec![s, t]);
-    }
-    let full = (1usize << n) - 1;
-    // Start-constrained DP: dp2[mask] = endpoints of paths that start at s
-    // and visit exactly mask.
-    let mut dp2 = vec![0u32; 1 << n];
-    dp2[1usize << s] = 1 << s;
-    for mask in 1..(1usize << n) {
-        let ends = dp2[mask];
-        if ends == 0 {
-            continue;
-        }
-        let mut e = ends;
-        while e != 0 {
-            let v = e.trailing_zeros();
-            e &= e - 1;
-            for &w in g.neighbors(v) {
-                let bit = 1usize << w;
-                if mask & bit == 0 {
-                    dp2[mask | bit] |= bit as u32;
-                }
-            }
-        }
-    }
-    if dp2[full] & (1 << t) == 0 {
-        return None;
-    }
-    let mut path = reconstruct(g, &dp2, full, t);
-    // reconstruct returns the path reversed from endpoint back to the
-    // single-vertex mask, which here is forced to start at s.
-    debug_assert_eq!(path[0], t);
-    path.reverse();
-    debug_assert_eq!((path[0], *path.last().unwrap()), (s, t));
-    Some(path)
-}
-
-fn reconstruct(g: &Graph, dp: &[u32], mut mask: usize, mut v: u32) -> Vec<u32> {
-    let mut path = vec![v];
-    while mask.count_ones() > 1 {
-        let prev_mask = mask & !(1usize << v);
-        let candidates = dp[prev_mask];
-        let mut found = None;
-        for &u in g.neighbors(v) {
-            if candidates & (1 << u) != 0 && prev_mask & (1usize << u) != 0 {
-                found = Some(u);
-                break;
-            }
-        }
-        let u = found.expect("dp table is consistent");
-        path.push(u);
-        mask = prev_mask;
-        v = u;
-    }
-    path
+    min_jump_layers(g, 1u32.checked_shl(s)?, 0, &|_| false)?.path_to(t)
 }
 
 /// Enumerates every Hamiltonian path of `g` (up to direction: each path is
@@ -163,27 +263,34 @@ pub fn for_each_hamiltonian_path(g: &Graph, mut f: impl FnMut(&[u32])) {
         f: &mut impl FnMut(&[u32]),
     ) {
         if path.len() == n {
-            if path[0] <= *path.last().unwrap() {
+            if path.first() <= path.last() {
                 f(path);
             }
             return;
         }
-        let last = *path.last().unwrap();
+        let Some(&last) = path.last() else {
+            return;
+        };
         for &w in g.neighbors(last) {
+            // audit:allow(panic-freedom) neighbours of a vertex of g are < n = used.len()
             if !used[w as usize] {
+                // audit:allow(panic-freedom) w < n = used.len(), as checked on the line above
                 used[w as usize] = true;
                 path.push(w);
                 rec(g, path, used, n, f);
                 path.pop();
+                // audit:allow(panic-freedom) w < n = used.len(), as above
                 used[w as usize] = false;
             }
         }
     }
     for start in 0..n as u32 {
+        // audit:allow(panic-freedom) start < n = used.len()
         used[start as usize] = true;
         path.push(start);
         rec(g, &mut path, &mut used, n, &mut f);
         path.pop();
+        // audit:allow(panic-freedom) start < n = used.len()
         used[start as usize] = false;
     }
 }
@@ -192,8 +299,10 @@ pub fn for_each_hamiltonian_path(g: &Graph, mut f: impl FnMut(&[u32])) {
 pub fn hamiltonian_endpoint_pairs(g: &Graph) -> Vec<(u32, u32)> {
     let mut pairs = Vec::new();
     for_each_hamiltonian_path(g, |p| {
-        let e = (p[0], *p.last().unwrap());
-        let e = if e.0 <= e.1 { e } else { (e.1, e.0) };
+        let (Some(&a), Some(&b)) = (p.first(), p.last()) else {
+            return;
+        };
+        let e = (a.min(b), a.max(b));
         if !pairs.contains(&e) {
             pairs.push(e);
         }
@@ -210,12 +319,14 @@ pub fn is_hamiltonian_path(g: &Graph, path: &[u32]) -> bool {
     }
     let mut seen = vec![false; n];
     for &v in path {
-        if (v as usize) >= n || seen[v as usize] {
-            return false;
+        match seen.get_mut(v as usize) {
+            Some(s) if !*s => *s = true,
+            _ => return false,
         }
-        seen[v as usize] = true;
     }
-    path.windows(2).all(|w| g.has_edge(w[0], w[1]))
+    path.iter()
+        .zip(path.iter().skip(1))
+        .all(|(&u, &v)| g.has_edge(u, v))
 }
 
 #[cfg(test)]

@@ -81,7 +81,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let pi = exact::optimal_effective_cost(&g).unwrap();
         println!(
-            "  m = {m}: π = {pi}, Held–Karp took {:.1} ms (doubling per edge)",
+            "  m = {m}: π = {pi}, the exact DP took {:.1} ms (doubling per edge)",
             t0.elapsed().as_secs_f64() * 1e3
         );
     }
