@@ -123,7 +123,11 @@ pub fn e23_wcoj() -> (String, bool) {
          Every pairwise join graph is an equijoin graph pebbled perfectly \
          (π = m) through the memo pipeline: per-pair page scheduling is easy \
          even when the binary join *plan* is catastrophically worse than the \
-         multiway one.",
+         multiway one. The engines walk CSR tries (per level, the distinct \
+         keys plus child and row offsets): `open` and `advance` are O(1) and \
+         a seek binary-searches only the current node's distinct keys, while \
+         the seek and intermediate counters above are the same as over a \
+         flat sorted-row trie, because `remaining` still counts rows.",
     );
     let _ = writeln!(
         out,

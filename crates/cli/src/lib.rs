@@ -343,6 +343,16 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
 mod tests {
     use super::*;
 
+    /// Serializes this module's tests. jp-par workers and server
+    /// threads join whatever jp-obs/jp-pulse scope is active when they
+    /// start, so a test running beside another test's `--trace`,
+    /// `--stats` or `--pulse-file` capture would feed its events and
+    /// live metrics into that capture.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn run_str(args: &[&str]) -> Result<String, CliError> {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         let mut buf = Vec::new();
@@ -352,22 +362,26 @@ mod tests {
 
     #[test]
     fn help_prints_usage() {
+        let _serial = serial();
         let out = run_str(&["help"]).unwrap();
         assert!(out.contains("jp generate"));
     }
 
     #[test]
     fn no_command_is_usage_error() {
+        let _serial = serial();
         assert!(matches!(run_str(&[]), Err(CliError::Usage(_))));
     }
 
     #[test]
     fn unknown_command_is_usage_error() {
+        let _serial = serial();
         assert!(matches!(run_str(&["frobnicate"]), Err(CliError::Usage(_))));
     }
 
     #[test]
     fn generate_info_pebble_pipeline() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.json");
@@ -398,6 +412,7 @@ mod tests {
 
     #[test]
     fn pebble_equijoin_on_wrong_graph_is_runtime_error() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test2-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.json");
@@ -410,6 +425,7 @@ mod tests {
 
     #[test]
     fn replay_and_fragment_commands() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test3-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let gp = dir.join("g.json");
@@ -443,6 +459,7 @@ mod tests {
 
     #[test]
     fn serve_and_loadgen_round_trip() {
+        let _serial = serial();
         // grab a free loopback port, then hand it to `jp serve`
         let addr = {
             let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -482,6 +499,7 @@ mod tests {
 
     #[test]
     fn explain_annotates_the_plan_with_observed_counters() {
+        let _serial = serial();
         let out = run_str(&[
             "explain", "triangle", "--n", "120", "--deg", "4", "--seed", "7",
         ])
@@ -539,6 +557,7 @@ mod tests {
 
     #[test]
     fn trace_request_reconstructs_a_traced_serve_run() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-xray-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("serve.jsonl");
@@ -601,10 +620,10 @@ mod tests {
         assert!(served.contains("serve: xray"), "{served}");
         assert!(served.contains("exemplar(s)"), "{served}");
 
-        // The capture reconstructs this run's 15 requests. Other tests'
-        // servers running concurrently in this process may bleed extra
-        // requests into the process-wide scope, so assert on the floor
-        // and on our own request, not on an exact total.
+        // The capture reconstructs this run's 15 requests. The
+        // loadgen's wire-only stats and shutdown frames add entries
+        // with no `serve.request` root, so assert on the floor and on
+        // our own request, not on an exact total.
         // "N request(s), M complete (P%)" → (N, M)
         fn head_counts(report: &str) -> (u64, u64) {
             report
@@ -666,6 +685,7 @@ mod tests {
 
     #[test]
     fn trace_request_min_complete_gate_fails_on_orphaned_requests() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-xray2-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.jsonl");
@@ -720,6 +740,7 @@ mod tests {
 
     #[test]
     fn loadgen_zero_clients_is_a_usage_error() {
+        let _serial = serial();
         for args in [
             &["loadgen", "--clients", "0"][..],
             &["loadgen", "--requests", "0"][..],
@@ -735,6 +756,7 @@ mod tests {
 
     #[test]
     fn bb_budget_exhaustion_is_reported_cleanly() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test4-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("g.json");
@@ -771,6 +793,7 @@ mod tests {
 
     #[test]
     fn pebble_portfolio_with_threads() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test6-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("g.json");
@@ -814,6 +837,7 @@ mod tests {
 
     #[test]
     fn trace_writes_jsonl_and_stats_prints_summary() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test5-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let g = dir.join("g.json");
@@ -882,6 +906,7 @@ mod tests {
 
     #[test]
     fn trace_subcommands_consume_a_recorded_portfolio_run() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test8-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let g = dir.join("g.json");
@@ -943,6 +968,7 @@ mod tests {
 
     #[test]
     fn duplicate_trace_is_usage_error() {
+        let _serial = serial();
         let err = run_str(&["help", "--trace", "a", "--trace", "b"]).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
         let err = run_str(&["help", "--trace"]).unwrap_err();
@@ -951,6 +977,7 @@ mod tests {
 
     #[test]
     fn pebble_memo_persists_and_reloads() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test7-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let g = dir.join("g.json");
@@ -1018,6 +1045,7 @@ mod tests {
 
     #[test]
     fn join_pebble_with_memo_reports_cache_stats() {
+        let _serial = serial();
         let out = run_str(&[
             "join",
             "--workload",
@@ -1038,6 +1066,7 @@ mod tests {
 
     #[test]
     fn join_workloads_run() {
+        let _serial = serial();
         let out = run_str(&["join", "--workload", "zipf", "--n", "200"]).unwrap();
         assert!(out.contains("hash_join"));
         let out = run_str(&["join", "--workload", "sets", "--n", "80"]).unwrap();
@@ -1061,21 +1090,23 @@ mod tests {
         (nums[0], nums[1], nums[2], nums[3])
     }
 
-    #[test]
-    fn pulse_snapshot_matches_final_memo_counters_and_top_renders_workers() {
-        let dir = std::env::temp_dir().join(format!("jp-cli-pulse-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let g = dir.join("g.json");
-        let pf = dir.join("pulse.jsonl");
-        run_str(&["generate", "spider", "10", "--out", g.to_str().unwrap()]).unwrap();
-
+    /// Runs `jp pebble g --memo true` with a pulse file under `algo` and
+    /// `threads`, checks that the final snapshot carries exactly the
+    /// memo counters the run printed and that the run touched the memo
+    /// at all, and returns that snapshot's samples.
+    fn pebble_memo_pulse(
+        g: &std::path::Path,
+        pf: &std::path::Path,
+        algo: &str,
+        threads: &str,
+    ) -> std::collections::BTreeMap<String, u64> {
         let out = run_str(&[
             "pebble",
             g.to_str().unwrap(),
             "--algo",
-            "portfolio",
+            algo,
             "--threads",
-            "4",
+            threads,
             "--memo",
             "true",
             "--pulse-file",
@@ -1090,12 +1121,15 @@ mod tests {
         // The pulse file parses with the damage-tolerant trace reader and
         // its final snapshot carries the run's final memo counters — the
         // live registry and the jp-obs/memo accounting must agree exactly.
-        let (events, report) = jp_trace::read_trace(&pf).unwrap();
+        let (events, report) = jp_trace::read_trace(pf).unwrap();
         assert_eq!(report.skipped(), 0, "pulse file has corrupt lines");
         let snaps = jp_trace::pulse_snapshots(&events);
-        assert!(!snaps.is_empty(), "no snapshots in pulse file");
-        let last = snaps.last().unwrap();
-        let sample = |k: &str| last.samples.get(k).copied().unwrap_or(0);
+        let last = snaps
+            .last()
+            .expect("no snapshots in pulse file")
+            .samples
+            .clone();
+        let sample = |k: &str| last.get(k).copied().unwrap_or(0);
         assert_eq!(sample("memo.recognized"), recognized);
         assert_eq!(sample("memo.hit"), hits);
         assert_eq!(sample("memo.miss"), misses);
@@ -1104,11 +1138,58 @@ mod tests {
             recognized + hits + misses > 0,
             "run exercised no memo path at all:\n{out}"
         );
+        last
+    }
+
+    #[test]
+    fn portfolio_on_one_thread_probes_the_memo() {
+        let _serial = serial();
+        let dir = std::env::temp_dir().join(format!("jp-cli-pulse3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = dir.join("g.json");
+        let pf = dir.join("pulse.jsonl");
+        run_str(&["generate", "spider", "10", "--out", g.to_str().unwrap()]).unwrap();
+        // On one thread the portfolio runs its strategies in ladder
+        // order, so the exact strategy — the only one that reads the
+        // memo — always starts, and the recognizer answers the spider.
+        let last = pebble_memo_pulse(&g, &pf, "portfolio", "1");
+        assert!(
+            last.get("memo.recognized").copied().unwrap_or(0) > 0,
+            "{last:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pulse_snapshot_matches_final_memo_counters_and_top_renders_workers() {
+        let _serial = serial();
+        let dir = std::env::temp_dir().join(format!("jp-cli-pulse-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = dir.join("g.json");
+        let pf = dir.join("pulse.jsonl");
+        // Two components: one a recognizer knows and one it does not,
+        // so every run takes the memo's recognized and miss paths, and
+        // the miss is raced on four workers. (`--algo portfolio` on
+        // several threads may skip the memo: only its exact strategy
+        // reads it, and the race can end before that strategy starts.)
+        run_str(&[
+            "generate",
+            "random",
+            "8",
+            "8",
+            "0.25",
+            "3",
+            "--out",
+            g.to_str().unwrap(),
+        ])
+        .unwrap();
+        let samples = pebble_memo_pulse(&g, &pf, "auto", "4");
+
         // the par runtime published per-worker utilization gauges
         assert!(
-            last.samples.keys().any(|k| k.starts_with("par.worker.")),
+            samples.keys().any(|k| k.starts_with("par.worker.")),
             "no worker gauges in final snapshot: {:?}",
-            last.samples.keys().collect::<Vec<_>>()
+            samples.keys().collect::<Vec<_>>()
         );
 
         // `pulse top` renders the worker gauges as bars…
@@ -1135,6 +1216,7 @@ mod tests {
 
     #[test]
     fn bare_pulse_flag_defaults_to_pulse_jsonl_and_keeps_positionals() {
+        let _serial = serial();
         // --pulse is value-less: the graph path after it must survive as
         // a positional argument, and samples land in ./pulse.jsonl.
         let dir = std::env::temp_dir().join(format!("jp-cli-pulse2-{}", std::process::id()));
@@ -1160,6 +1242,7 @@ mod tests {
 
     #[test]
     fn pulse_subcommand_usage_and_missing_snapshots() {
+        let _serial = serial();
         let err = run_str(&["pulse"]).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
         let err = run_str(&["pulse", "flop", "x.jsonl"]).unwrap_err();
@@ -1190,6 +1273,7 @@ mod tests {
 
     #[test]
     fn trace_summary_on_empty_or_corrupt_file_is_classified_error() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-empty-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
 

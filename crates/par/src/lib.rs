@@ -344,8 +344,18 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::time::Duration;
 
+    /// Serializes this module's tests. A `run_tasks` worker joins
+    /// whatever jp-obs/jp-pulse scope is active when it starts, so
+    /// workers of one test running beside another test's scoped capture
+    /// would land their events in that capture.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        lock(&SERIAL)
+    }
+
     #[test]
     fn results_preserve_task_order() {
+        let _serial = serial();
         for threads in [1, 2, 4, 9] {
             let out = run_tasks(threads, (0u64..100).collect(), |_, x| x * 2);
             assert_eq!(out, (0u64..100).map(|x| x * 2).collect::<Vec<_>>());
@@ -354,12 +364,14 @@ mod tests {
 
     #[test]
     fn empty_task_list_is_a_noop() {
+        let _serial = serial();
         let out: Vec<u32> = run_tasks(4, Vec::<u32>::new(), |_, x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn zero_threads_clamps_to_one() {
+        let _serial = serial();
         let out = run_tasks(0, vec![1, 2, 3], |w, x| {
             assert_eq!(w.id(), 0);
             x + 10
@@ -369,6 +381,7 @@ mod tests {
 
     #[test]
     fn more_threads_than_tasks() {
+        let _serial = serial();
         let out = run_tasks(8, vec![5u64, 7], |w, x| {
             assert!(w.id() < 8);
             x
@@ -378,6 +391,7 @@ mod tests {
 
     #[test]
     fn skewed_seeds_get_stolen() {
+        let _serial = serial();
         // Two workers; worker 0's first seed blocks until one of worker
         // 0's other seeds (even index) has executed on worker 1 — i.e.
         // until a steal demonstrably happened. Worker 1's seeds are all
@@ -403,6 +417,7 @@ mod tests {
 
     #[test]
     fn spawned_tasks_run_and_append_results() {
+        let _serial = serial();
         for threads in [1, 3] {
             let out = run_tasks(threads, vec![10u64, 20], |w, x| {
                 if x == 10 {
@@ -417,6 +432,7 @@ mod tests {
 
     #[test]
     fn recursive_spawns_terminate() {
+        let _serial = serial();
         // Each task < 8 spawns its successor; all must complete.
         let out = run_tasks(2, vec![0u64], |w, x| {
             if x < 8 {
@@ -429,6 +445,7 @@ mod tests {
 
     #[test]
     fn workers_adopt_into_scoped_captures() {
+        let _serial = serial();
         let sink = std::sync::Arc::new(jp_obs::MemorySink::new());
         let _guard = jp_obs::ScopedSink::install(sink.clone());
         let out = run_tasks(3, (0u64..9).collect(), |_, x| {
@@ -470,6 +487,7 @@ mod tests {
 
     #[test]
     fn workers_inherit_the_callers_request_context() {
+        let _serial = serial();
         let sink = std::sync::Arc::new(jp_obs::MemorySink::new());
         let _guard = jp_obs::ScopedSink::install(sink.clone());
         let _req = jp_obs::with_request(Some(512));
@@ -488,6 +506,7 @@ mod tests {
 
     #[test]
     fn worker_panics_propagate() {
+        let _serial = serial();
         let caught = std::panic::catch_unwind(|| {
             run_tasks(2, vec![0u32, 1], |_, x| {
                 assert_ne!(x, 1, "boom");

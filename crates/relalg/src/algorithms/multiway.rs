@@ -253,40 +253,54 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Opens the participating iterators at level `d`, intersects, and
-    /// restores the iterators on the way out.
-    fn enter(&mut self, d: usize) -> Result<(), RelalgError> {
-        let Some(parts) = self.plan.levels.get(d) else {
+    /// Opens every participant of level `d` (one seek each, stopping at
+    /// the first whose node is empty), runs `body` over the participants
+    /// if all of them opened, and `up`s the opened ones on the way out.
+    /// A level with an empty participant yields `empty`.
+    fn within_level<T>(
+        &mut self,
+        d: usize,
+        empty: T,
+        body: impl FnOnce(&mut Self, &'a [usize]) -> Result<T, RelalgError>,
+    ) -> Result<T, RelalgError> {
+        let plan = self.plan;
+        let Some(parts) = plan.levels.get(d) else {
             return Err(RelalgError::Internal("join level out of plan range"));
         };
-        let parts = parts.clone();
-        let mut opened = Vec::with_capacity(parts.len());
-        let mut all_open = true;
-        for &a in &parts {
+        let mut opened = 0;
+        for &a in parts {
             self.stats.seeks += 1;
             let Some(it) = self.iters.get_mut(a) else {
                 return Err(RelalgError::Internal("plan references missing iterator"));
             };
-            if it.open().is_some() {
-                opened.push(a);
-            } else {
-                all_open = false;
+            if it.open().is_none() {
                 break;
             }
+            opened += 1;
         }
-        if all_open {
-            if self.generic {
-                self.intersect_generic(d, &parts)?;
-            } else {
-                self.intersect_leapfrog(d, &parts)?;
-            }
-        }
-        for &a in &opened {
+        let out = if opened == parts.len() {
+            body(self, parts)
+        } else {
+            Ok(empty)
+        };
+        for &a in parts.iter().take(opened) {
             if let Some(it) = self.iters.get_mut(a) {
                 it.up();
             }
         }
-        Ok(())
+        out
+    }
+
+    /// Opens the participating iterators at level `d`, intersects, and
+    /// restores the iterators on the way out.
+    fn enter(&mut self, d: usize) -> Result<(), RelalgError> {
+        self.within_level(d, (), |eng, parts| {
+            if eng.generic {
+                eng.intersect_generic(d, parts)
+            } else {
+                eng.leapfrog(parts, |eng, key| eng.on_match(d, key))
+            }
+        })
     }
 
     /// A key matched at level `d` by every participant: emit or recurse.
@@ -306,8 +320,13 @@ impl<'a> Engine<'a> {
     }
 
     /// Leapfrog intersection: every participant repeatedly seeks to the
-    /// running maximum until all keys agree.
-    fn intersect_leapfrog(&mut self, d: usize, parts: &[usize]) -> Result<(), RelalgError> {
+    /// running maximum until all keys agree; `on_key` gets each agreed
+    /// key in ascending order.
+    fn leapfrog(
+        &mut self,
+        parts: &[usize],
+        mut on_key: impl FnMut(&mut Self, i64) -> Result<(), RelalgError>,
+    ) -> Result<(), RelalgError> {
         loop {
             let mut hi = i64::MIN;
             let mut all_eq = true;
@@ -328,7 +347,7 @@ impl<'a> Engine<'a> {
                 return Err(RelalgError::Internal("level with no participants"));
             }
             if all_eq {
-                self.on_match(d, hi)?;
+                on_key(self, hi)?;
                 let Some(&a0) = parts.first() else {
                     return Ok(());
                 };
@@ -400,31 +419,13 @@ impl<'a> Engine<'a> {
     /// Runs the engine restricted to the given level-0 keys (the
     /// parallel path: each worker gets a chunk of the root candidates).
     fn run_restricted(&mut self, keys: &[i64]) -> Result<(), RelalgError> {
-        let Some(parts) = self.plan.levels.first() else {
-            return Err(RelalgError::Internal("plan has no levels"));
-        };
-        let parts = parts.clone();
-        let mut opened = Vec::with_capacity(parts.len());
-        let mut all_open = true;
-        for &a in &parts {
-            self.stats.seeks += 1;
-            let Some(it) = self.iters.get_mut(a) else {
-                return Err(RelalgError::Internal("plan references missing iterator"));
-            };
-            if it.open().is_some() {
-                opened.push(a);
-            } else {
-                all_open = false;
-                break;
-            }
-        }
-        if all_open {
+        self.within_level(0, (), |eng, parts| {
             'keys: for &k in keys {
-                for &a in &parts {
-                    let Some(it) = self.iters.get_mut(a) else {
+                for &a in parts {
+                    let Some(it) = eng.iters.get_mut(a) else {
                         return Err(RelalgError::Internal("plan references missing iterator"));
                     };
-                    self.stats.seeks += 1;
+                    eng.stats.seeks += 1;
                     if it.seek(k) != Some(k) {
                         // The key list came from a prior root
                         // intersection; a miss means the chunk is past
@@ -432,86 +433,23 @@ impl<'a> Engine<'a> {
                         continue 'keys;
                     }
                 }
-                self.on_match(0, k)?;
+                eng.on_match(0, k)?;
             }
-        }
-        for &a in &opened {
-            if let Some(it) = self.iters.get_mut(a) {
-                it.up();
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Collects the root-level candidate keys (the leapfrog
     /// intersection of level-0 participants) without recursing.
     fn root_keys(&mut self) -> Result<Vec<i64>, RelalgError> {
-        let Some(parts) = self.plan.levels.first() else {
-            return Err(RelalgError::Internal("plan has no levels"));
-        };
-        let parts = parts.clone();
-        let mut keys = Vec::new();
-        let mut opened = Vec::with_capacity(parts.len());
-        let mut all_open = true;
-        for &a in &parts {
-            self.stats.seeks += 1;
-            let Some(it) = self.iters.get_mut(a) else {
-                return Err(RelalgError::Internal("plan references missing iterator"));
-            };
-            if it.open().is_some() {
-                opened.push(a);
-            } else {
-                all_open = false;
-                break;
-            }
-        }
-        if all_open {
-            'outer: loop {
-                let mut hi = i64::MIN;
-                let mut all_eq = true;
-                let mut first = true;
-                for &a in &parts {
-                    let Some(k) = self.iters.get(a).and_then(TrieIter::key) else {
-                        break 'outer;
-                    };
-                    if first {
-                        hi = k;
-                        first = false;
-                    } else if k != hi {
-                        all_eq = false;
-                        hi = hi.max(k);
-                    }
-                }
-                if all_eq {
-                    keys.push(hi);
-                    let Some(&a0) = parts.first() else {
-                        break;
-                    };
-                    self.stats.seeks += 1;
-                    if self.iters.get_mut(a0).and_then(TrieIter::advance).is_none() {
-                        break;
-                    }
-                } else {
-                    for &a in &parts {
-                        let Some(it) = self.iters.get_mut(a) else {
-                            break 'outer;
-                        };
-                        if it.key().is_some_and(|k| k < hi) {
-                            self.stats.seeks += 1;
-                            if it.seek(hi).is_none() {
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for &a in &opened {
-            if let Some(it) = self.iters.get_mut(a) {
-                it.up();
-            }
-        }
-        Ok(keys)
+        self.within_level(0, Vec::new(), |eng, parts| {
+            let mut keys = Vec::new();
+            eng.leapfrog(parts, |_, key| {
+                keys.push(key);
+                Ok(())
+            })?;
+            Ok(keys)
+        })
     }
 }
 

@@ -3,13 +3,17 @@
 //! (PAPERS.md \[LFTJ\]).
 //!
 //! A [`MultiRelation`] is a set-semantics relation of fixed arity over
-//! `i64` keys. A [`TrieIndex`] materializes it under a column
-//! permutation — rows sorted lexicographically in permuted order — so
-//! that a [`TrieIter`] can walk it as a trie: level `d` enumerates the
-//! distinct values of permuted column `d` within the row range matching
-//! the values bound at levels `0..d`. Each level supports `open` /
-//! `up` / `key` / `advance` / `seek`, all `O(log n)` via binary search
-//! over the flat sorted array; no per-node allocation.
+//! `i64` keys, stored as one flat row-major buffer of sorted, distinct
+//! rows. A [`TrieIndex`] materializes it under a column permutation as
+//! an array (CSR) trie: level `d` holds the distinct values of permuted
+//! column `d` of every node at that depth, concatenated in sorted order,
+//! and two offset arrays beside them — each key's child range in level
+//! `d + 1` and each key's first row. A [`TrieIter`] walks it with
+//! `open` / `up` / `key` / `advance` / `seek`: `open` is one child-range
+//! lookup and `advance` one step, both `O(1)`; `seek` binary-searches
+//! the distinct keys left in the current node, `O(log k)` for `k` keys.
+//! [`TrieIter::remaining`] reads the row offsets, so it counts rows, not
+//! keys — the generic-join pivot metric. No per-node allocation.
 //!
 //! Everything here is panic-free (in the jp-audit `panic-freedom` scope
 //! at deny): out-of-contract calls return `None` or an
@@ -33,16 +37,16 @@ impl MultiRelation {
     ///
     /// # Errors
     /// [`RelalgError::ArityMismatch`] if any tuple's length differs
-    /// from `arity`, [`RelalgError::MalformedCover`] never; arity 0 is
-    /// rejected as an arity mismatch on the first tuple (an empty
-    /// relation of arity 0 is allowed and holds no information).
+    /// from `arity`. Arity 0 is accepted and yields an empty relation
+    /// (a zero-column tuple carries no information).
     pub fn new(
         name: impl Into<String>,
         arity: usize,
         tuples: impl IntoIterator<Item = Vec<i64>>,
     ) -> Result<Self, RelalgError> {
         let name = name.into();
-        let mut rows: Vec<Vec<i64>> = Vec::new();
+        let tuples = tuples.into_iter();
+        let mut data = Vec::with_capacity(tuples.size_hint().0.saturating_mul(arity));
         for t in tuples {
             if t.len() != arity {
                 return Err(RelalgError::ArityMismatch {
@@ -51,11 +55,9 @@ impl MultiRelation {
                     found: t.len(),
                 });
             }
-            rows.push(t);
+            data.extend_from_slice(&t);
         }
-        rows.sort_unstable();
-        rows.dedup();
-        let data = rows.into_iter().flatten().collect();
+        let data = sorted_distinct_rows(&data, arity);
         Ok(MultiRelation { name, arity, data })
     }
 
@@ -92,23 +94,60 @@ impl MultiRelation {
     }
 }
 
+/// Sorts the fixed-arity rows of a flat row-major buffer
+/// lexicographically and drops duplicates. Binary rows (every relation
+/// the workloads build) sort as `[i64; 2]` arrays; other arities sort
+/// as slices. Arity 0 holds no rows.
+fn sorted_distinct_rows(data: &[i64], arity: usize) -> Vec<i64> {
+    match arity {
+        0 => Vec::new(),
+        2 => {
+            let mut rows = data.as_chunks::<2>().0.to_vec();
+            rows.sort_unstable();
+            rows.dedup();
+            rows.into_flattened()
+        }
+        _ => {
+            let mut rows: Vec<&[i64]> = data.chunks_exact(arity).collect();
+            rows.sort_unstable();
+            rows.dedup();
+            rows.concat()
+        }
+    }
+}
+
+/// One trie depth in CSR form: the distinct keys of every node at this
+/// depth, concatenated, with offsets into the next level and into the
+/// rows. Key `i`'s children are `child[i]..child[i + 1]` of the next
+/// level's keys, and its rows are `rows[i]..rows[i + 1]`. The deepest
+/// level has no children, so its `child` is empty.
+#[derive(Debug, Clone, Default)]
+struct TrieLevel {
+    keys: Vec<i64>,
+    child: Vec<u32>,
+    rows: Vec<u32>,
+}
+
 /// A trie view of a [`MultiRelation`] under a column permutation:
-/// rows re-ordered column-wise by `perm` and sorted lexicographically.
-/// Level `d` of the trie is permuted column `d`.
+/// rows re-ordered column-wise by `perm`, sorted lexicographically, and
+/// stored one [`TrieLevel`] per permuted column.
 #[derive(Debug, Clone)]
 pub struct TrieIndex {
-    arity: usize,
-    /// Row-major permuted sorted tuple store.
-    data: Vec<i64>,
+    rows: usize,
+    levels: Vec<TrieLevel>,
 }
 
 impl TrieIndex {
     /// Materializes the trie for `rel` with trie level `d` reading
-    /// column `perm[d]` of the original relation.
+    /// column `perm[d]` of the original relation. The identity
+    /// permutation reads the relation's rows, already sorted, in place;
+    /// any other permutes them into one flat buffer and sorts that.
     ///
     /// # Errors
     /// [`RelalgError::Internal`] if `perm` is not a permutation of
-    /// `0..arity` (planner bug, not user input).
+    /// `0..arity` (planner bug, not user input);
+    /// [`RelalgError::TooManyTuples`] if the row offsets would not fit
+    /// in `u32`.
     pub fn build(rel: &MultiRelation, perm: &[u32]) -> Result<Self, RelalgError> {
         let arity = rel.arity();
         let mut seen = vec![false; arity];
@@ -121,72 +160,96 @@ impl TrieIndex {
                 _ => return Err(RelalgError::Internal("trie permutation is not a bijection")),
             }
         }
-        let mut rows: Vec<Vec<i64>> = rel
-            .tuples()
-            .map(|t| {
-                perm.iter()
-                    .filter_map(|&c| t.get(c as usize).copied())
-                    .collect()
-            })
-            .collect();
-        rows.sort_unstable();
-        rows.dedup();
-        let data = rows.into_iter().flatten().collect();
-        Ok(TrieIndex { arity, data })
+        if u32::try_from(rel.len()).is_err() {
+            return Err(RelalgError::TooManyTuples {
+                relation: rel.name().to_string(),
+                len: rel.len(),
+            });
+        }
+        if perm.iter().zip(0u32..).all(|(&c, d)| c == d) {
+            return Ok(Self::from_sorted(&rel.data, arity));
+        }
+        let mut data = Vec::with_capacity(rel.data.len());
+        for t in rel.tuples() {
+            data.extend(perm.iter().filter_map(|&c| t.get(c as usize).copied()));
+        }
+        let data = sorted_distinct_rows(&data, arity);
+        Ok(Self::from_sorted(&data, arity))
+    }
+
+    /// One pass over the sorted, distinct rows of a flat row-major
+    /// buffer: a row whose first difference from its predecessor is at
+    /// column `c` starts a new key at every level from `c` down. Callers
+    /// guarantee the row count fits in `u32`.
+    fn from_sorted(data: &[i64], arity: usize) -> Self {
+        let rows = data.chunks_exact(arity.max(1));
+        let mut levels = vec![TrieLevel::default(); arity];
+        // Every row is one key of the deepest level.
+        if let Some(leaf) = levels.last_mut() {
+            leaf.keys.reserve_exact(rows.len());
+            leaf.rows.reserve_exact(rows.len() + 1);
+        }
+        let mut prev: Option<&[i64]> = None;
+        let mut n: u32 = 0;
+        for row in rows {
+            let first = prev.map_or(0, |p| {
+                p.iter().zip(row).position(|(a, b)| a != b).unwrap_or(arity)
+            });
+            for d in first..arity {
+                let next = levels.get(d + 1).map(|l| l.keys.len() as u32);
+                let (Some(level), Some(&k)) = (levels.get_mut(d), row.get(d)) else {
+                    break;
+                };
+                if let Some(next) = next {
+                    level.child.push(next);
+                }
+                level.keys.push(k);
+                level.rows.push(n);
+            }
+            n += 1;
+            prev = Some(row);
+        }
+        for d in 0..arity {
+            let next = levels.get(d + 1).map(|l| l.keys.len() as u32);
+            if let Some(level) = levels.get_mut(d) {
+                level.child.extend(next);
+                level.rows.push(n);
+            }
+        }
+        TrieIndex {
+            rows: n as usize,
+            levels,
+        }
     }
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.data.len().checked_div(self.arity).unwrap_or(0)
+        self.rows
     }
 
     /// Trie depth (the relation's arity).
     pub fn depth(&self) -> usize {
-        self.arity
-    }
-
-    /// Value at `(row, col)`, or `None` out of range.
-    fn at(&self, row: usize, col: usize) -> Option<i64> {
-        if col >= self.arity {
-            return None;
-        }
-        self.data.get(row * self.arity + col).copied()
-    }
-
-    /// First row in `[lo, hi)` whose `col` value is ≥ `v`.
-    fn lower_bound(&self, mut lo: usize, mut hi: usize, col: usize, v: i64) -> usize {
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.at(mid, col).is_some_and(|x| x < v) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// First row in `[lo, hi)` whose `col` value is > `v`.
-    fn upper_bound(&self, mut lo: usize, mut hi: usize, col: usize, v: i64) -> usize {
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.at(mid, col).is_some_and(|x| x <= v) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        self.levels.len()
     }
 }
 
-/// One open trie level: the cursor position and the end of the row
-/// range matching the prefix bound so far (the start is wherever the
-/// cursor entered; the iterators only ever move forward).
+/// One open trie level: the cursor position and the end of the key
+/// range of the node the cursor entered (the iterators only ever move
+/// forward, so the start is not kept). Positions index `level.keys`.
 #[derive(Debug, Clone, Copy)]
-struct Level {
-    hi: usize,
+struct Cursor<'a> {
+    level: &'a TrieLevel,
     pos: usize,
+    hi: usize,
+}
+
+impl Cursor<'_> {
+    fn key(&self) -> Option<i64> {
+        if self.pos >= self.hi {
+            return None;
+        }
+        self.level.keys.get(self.pos).copied()
+    }
 }
 
 /// A cursor over a [`TrieIndex`], one level per trie depth.
@@ -200,7 +263,7 @@ struct Level {
 #[derive(Debug, Clone)]
 pub struct TrieIter<'a> {
     trie: &'a TrieIndex,
-    levels: Vec<Level>,
+    levels: Vec<Cursor<'a>>,
 }
 
 impl<'a> TrieIter<'a> {
@@ -221,29 +284,25 @@ impl<'a> TrieIter<'a> {
     /// key, or `None` if the trie is already at full depth or the new
     /// level is empty (in which case no level is opened).
     pub fn open(&mut self) -> Option<i64> {
-        let d = self.levels.len();
-        if d >= self.trie.depth() {
-            return None;
-        }
+        let level = self.trie.levels.get(self.levels.len())?;
         let (lo, hi) = match self.levels.last() {
             // Child range of the current key at the parent level.
             Some(parent) => {
                 if parent.pos >= parent.hi {
                     return None; // parent level exhausted; nothing below
                 }
-                let k = self.trie.at(parent.pos, d - 1)?;
+                let child = &parent.level.child;
                 (
-                    parent.pos,
-                    self.trie.upper_bound(parent.pos, parent.hi, d - 1, k),
+                    *child.get(parent.pos)? as usize,
+                    *child.get(parent.pos + 1)? as usize,
                 )
             }
-            None => (0, self.trie.rows()),
+            None => (0, level.keys.len()),
         };
-        if lo >= hi {
-            return None;
-        }
-        self.levels.push(Level { hi, pos: lo });
-        self.trie.at(lo, d)
+        let cursor = Cursor { level, pos: lo, hi };
+        let key = cursor.key()?;
+        self.levels.push(cursor);
+        Some(key)
     }
 
     /// Ascends one level. No-op at the root.
@@ -255,47 +314,40 @@ impl<'a> TrieIter<'a> {
     /// the distinct keys still ahead) — the generic-join pivot metric.
     /// Zero at the root.
     pub fn remaining(&self) -> usize {
-        self.levels
-            .last()
-            .map_or(0, |level| level.hi.saturating_sub(level.pos))
+        self.levels.last().map_or(0, |c| {
+            let rows = &c.level.rows;
+            match (rows.get(c.pos), rows.get(c.hi)) {
+                (Some(&from), Some(&to)) => to.saturating_sub(from) as usize,
+                _ => 0,
+            }
+        })
     }
 
     /// The key at the current level, or `None` at the root / past the
     /// end.
     pub fn key(&self) -> Option<i64> {
-        let level = self.levels.last()?;
-        if level.pos >= level.hi {
-            return None;
-        }
-        self.trie.at(level.pos, self.levels.len() - 1)
+        self.levels.last()?.key()
     }
 
     /// Moves to the next distinct key at the current level. Returns it,
     /// or `None` when the level is exhausted.
     pub fn advance(&mut self) -> Option<i64> {
-        let d = self.levels.len();
-        let level = self.levels.last_mut()?;
-        let col = d - 1;
-        let k = self.trie.at(level.pos, col)?;
-        level.pos = self.trie.upper_bound(level.pos, level.hi, col, k);
-        if level.pos >= level.hi {
+        let c = self.levels.last_mut()?;
+        if c.pos >= c.hi {
             return None;
         }
-        self.trie.at(level.pos, col)
+        c.pos += 1;
+        c.key()
     }
 
     /// Leapfrogs to the first key ≥ `v` at the current level. Returns
     /// it, or `None` when no such key exists. Seeking backwards is a
     /// no-op (the cursor only moves forward).
     pub fn seek(&mut self, v: i64) -> Option<i64> {
-        let d = self.levels.len();
-        let level = self.levels.last_mut()?;
-        let col = d - 1;
-        level.pos = self.trie.lower_bound(level.pos, level.hi, col, v);
-        if level.pos >= level.hi {
-            return None;
-        }
-        self.trie.at(level.pos, col)
+        let c = self.levels.last_mut()?;
+        let ahead = c.level.keys.get(c.pos..c.hi)?;
+        c.pos += ahead.partition_point(|&k| k < v);
+        c.key()
     }
 }
 

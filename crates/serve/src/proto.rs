@@ -464,4 +464,25 @@ mod tests {
         let bad_utf8 = [0xC0u8, 0x80];
         assert!(parse_request(&bad_utf8).unwrap_err().contains("UTF-8"));
     }
+
+    #[test]
+    fn deeply_nested_payload_is_a_classified_error() {
+        // A 1 MiB frame of `[` (and one of `{"a":`) is far below the
+        // frame limit. A parser without a nesting bound recurses once
+        // per byte and overflows the stack, which aborts the process
+        // instead of returning an error. The parse runs on a thread with
+        // a small stack so such an overflow shows up at once.
+        let object = br#"{"a":"#.repeat(1 << 18);
+        for payload in [vec![b'['; 1 << 20], object] {
+            let err = std::thread::Builder::new()
+                .stack_size(256 * 1024)
+                .spawn(move || parse_request(&payload))
+                .unwrap()
+                .join()
+                .unwrap()
+                .unwrap_err();
+            assert!(err.contains("malformed request JSON"), "{err}");
+            assert!(err.contains("nesting depth"), "{err}");
+        }
+    }
 }
