@@ -310,12 +310,12 @@ fn main() {
     }
     // The serving axis: an in-process jp-serve instance under the
     // deterministic loadgen mix — the same workload CI's serve-check
-    // job replays over a real socket. Dispatch is single-threaded so
-    // the memo/solver counters and the end-of-run `serve.*` totals are
-    // exact invariants of the workload; the `par.*` span families are
-    // stripped because how requests clump into dispatch batches
-    // depends on arrival timing, not on work done. The `serve.request`
-    // span values stay: they are the serve-latency axis.
+    // job replays over a real socket. One solver slot means one solve
+    // at a time, so the memo/solver counters and the end-of-run
+    // `serve.*` totals are exact invariants of the workload; the `par.*`
+    // span families are stripped because they are scheduling, not work
+    // done. The `serve.request` span values stay: they are the
+    // serve-latency axis.
     if want("serve_loadgen") {
         let pool = jp_serve::loadgen::query_pool(8);
         let edges: u64 = pool.iter().map(|g| g.edge_count() as u64).sum();
@@ -369,8 +369,8 @@ fn main() {
         // CLI writes traces without one, so for this case the keys
         // would read "missing" on every CI check — drop them.
         stats.counters.retain(|k, _| !k.starts_with("mem."));
-        // Admission-to-execution wait is a duration, not work done: it
-        // depends on arrival timing like the `par.*` batches above.
+        // Admission-to-slot wait is a duration that depends on arrival
+        // timing, not on work done.
         stats.counters.remove("serve.queue_wait_us");
         cases.push(Case {
             family: "serve_loadgen".into(),

@@ -101,7 +101,7 @@ pub fn e22_serving() -> (String, bool) {
     let warm_rate = warm.server.as_ref().map_or(0.0, |s| s.serve_rate());
     pass &= warm_rate >= 0.90;
 
-    // overload: a zero-slot dispatch queue must reject, not queue
+    // overload: a zero pending bound must reject, not queue
     let (pressed, served_pressed) = round(
         ServeConfig {
             max_pending: 0,

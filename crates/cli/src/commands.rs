@@ -178,12 +178,13 @@ fn run_pebbler(
     memo: Option<&Memo>,
 ) -> Result<PebblingScheme, CliError> {
     match (algo, memo) {
-        // memoized entry points: recognizers + cache in front of the solver
-        ("auto", Some(m)) => jp_pebble::memo::solve_with_memo(g, m, threads).map_err(rt),
+        // memoized entry points: recognizers + cache in front of the
+        // solver. The portfolio probes the memo once per component before
+        // it races, so no thread count can race past the memo.
+        ("auto" | "portfolio", Some(m)) => {
+            jp_pebble::memo::solve_with_memo(g, m, threads).map_err(rt)
+        }
         ("exact", Some(m)) => exact::optimal_scheme_memo(g, m).map_err(rt),
-        ("portfolio", Some(m)) => jp_pebble::portfolio::portfolio_scheme_memo(g, threads, Some(m))
-            .map(|(s, _)| s)
-            .map_err(rt),
         ("auto", None) => {
             if properties::is_equijoin_graph(g) {
                 pebble_equijoin(g).map_err(rt)

@@ -130,7 +130,8 @@ WORKLOADS (jp join --workload):
 
 SERVING (jp serve / jp loadgen):
   jp serve answers length-prefixed JSON frames over TCP from a shared
-  warm memo store, scheduling solver batches on the jp-par runtime.
+  warm memo store. Each request is solved on its connection's thread;
+  at most --threads requests solve at once, the rest wait for a slot.
   Admission control rejects with a named reason instead of queueing
   without bound: --max-edges caps graph size, --max-pending caps
   admitted-but-unanswered jobs, --budget bounds branch-and-bound
@@ -1149,10 +1150,27 @@ mod tests {
         let g = dir.join("g.json");
         let pf = dir.join("pulse.jsonl");
         run_str(&["generate", "spider", "10", "--out", g.to_str().unwrap()]).unwrap();
-        // On one thread the portfolio runs its strategies in ladder
-        // order, so the exact strategy — the only one that reads the
-        // memo — always starts, and the recognizer answers the spider.
+        // The memo is probed before the race, so the recognizer answers
+        // the spider.
         let last = pebble_memo_pulse(&g, &pf, "portfolio", "1");
+        assert!(
+            last.get("memo.recognized").copied().unwrap_or(0) > 0,
+            "{last:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn portfolio_on_four_threads_probes_the_memo() {
+        let _serial = serial();
+        let dir = std::env::temp_dir().join(format!("jp-cli-pulse4-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = dir.join("g.json");
+        let pf = dir.join("pulse.jsonl");
+        run_str(&["generate", "spider", "10", "--out", g.to_str().unwrap()]).unwrap();
+        // On several threads a heuristic can meet the floor before the
+        // exact strategy starts; the memo must be read all the same.
+        let last = pebble_memo_pulse(&g, &pf, "portfolio", "4");
         assert!(
             last.get("memo.recognized").copied().unwrap_or(0) > 0,
             "{last:?}"
@@ -1169,9 +1187,7 @@ mod tests {
         let pf = dir.join("pulse.jsonl");
         // Two components: one a recognizer knows and one it does not,
         // so every run takes the memo's recognized and miss paths, and
-        // the miss is raced on four workers. (`--algo portfolio` on
-        // several threads may skip the memo: only its exact strategy
-        // reads it, and the race can end before that strategy starts.)
+        // the miss is raced on four workers.
         run_str(&[
             "generate",
             "random",

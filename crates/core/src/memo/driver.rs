@@ -5,8 +5,8 @@
 //!
 //! 1. recognizer / validated cache hit via [`Memo::solve_component`];
 //! 2. on a miss, the full portfolio race
-//!    ([`crate::portfolio::portfolio_scheme_memo`], without the memo:
-//!    step 1 already probed it), recording the fresh result once —
+//!    ([`crate::portfolio::portfolio_scheme_proved`]; step 1 already
+//!    probed the memo), recording the fresh result once —
 //!    under the canonical form the probe computed, flagged exact when
 //!    the race proved it optimal — for every later isomorphic copy.
 //!
@@ -91,7 +91,7 @@ pub fn solve_with_memo_report(
             }
             Err(miss) => {
                 report.fresh += 1;
-                let (scheme, proved) = portfolio::portfolio_scheme_memo(&sub, threads, None)?;
+                let (scheme, proved) = portfolio::portfolio_scheme_proved(&sub, threads)?;
                 let o: Vec<usize> = scheme.deletion_order(&sub).into_iter().flatten().collect();
                 memo.record_miss(&sub, miss, &o, proved);
                 o

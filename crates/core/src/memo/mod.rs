@@ -24,10 +24,10 @@
 //!   per component, recognizer → cache → portfolio race, recording every
 //!   fresh solve for the next lookup.
 //!
-//! The exact solver and the portfolio racer accept an optional memo
-//! (`exact::optimal_scheme_memo`, `portfolio::portfolio_scheme_memo`):
-//! inside the exact path only entries proved optimal are consulted, so
-//! exactness guarantees survive memoization unchanged.
+//! The exact solver also takes the memo directly
+//! (`exact::optimal_scheme_memo`): inside the exact path only entries
+//! proved optimal are consulted, so exactness guarantees survive
+//! memoization unchanged.
 
 pub mod driver;
 pub mod recognize;

@@ -40,7 +40,6 @@ use crate::approx::{
     pebble_matching_cover, pebble_nearest_neighbor, pebble_path_cover, per_component_scheme,
 };
 use crate::exact::{solve_components_racing, MAX_EXACT_EDGES};
-use crate::memo::Memo;
 use crate::scheme::PebblingScheme;
 use crate::tsp::Tsp12;
 use crate::{bounds, PebbleError};
@@ -131,14 +130,12 @@ impl Race {
 /// Strategy 0: the exact solver, polled against the incumbent between DP
 /// mask chunks. A returned scheme is optimal. `None` when abandoned or
 /// when a component exceeds the exact DP's memory wall — in a race that
-/// is a skip, not an error. With a memo, recognized/cached components
-/// are served without the DP (so the exact strategy can win even past
-/// the wall) and fresh DP results are recorded.
-fn run_exact(g: &BipartiteGraph, race: &Race, memo: Option<&Memo>) -> Option<PebblingScheme> {
+/// is a skip, not an error.
+fn run_exact(g: &BipartiteGraph, race: &Race) -> Option<PebblingScheme> {
     if !race.beatable() {
         return None;
     }
-    match solve_components_racing(g, MAX_EXACT_EDGES, &|| !race.beatable(), memo) {
+    match solve_components_racing(g, MAX_EXACT_EDGES, &|| !race.beatable(), None) {
         Ok(Some(comps)) => {
             let order: Vec<usize> = comps.into_iter().flat_map(|(o, _)| o).collect();
             PebblingScheme::from_edge_sequence(g, &order).ok()
@@ -198,21 +195,19 @@ fn run_if_beatable(
 /// let s = portfolio_scheme(&g, 4).unwrap();
 /// assert_eq!(s.effective_cost(&g), 12); // m + ceil((n-2)/2)
 /// ```
-// audit:allow(obs-coverage) thin wrapper; portfolio_scheme_memo opens the span
+// audit:allow(obs-coverage) thin wrapper; portfolio_scheme_proved opens the span
 pub fn portfolio_scheme(g: &BipartiteGraph, threads: usize) -> Result<PebblingScheme, PebbleError> {
-    portfolio_scheme_memo(g, threads, None).map(|(scheme, _)| scheme)
+    portfolio_scheme_proved(g, threads).map(|(scheme, _)| scheme)
 }
 
-/// [`portfolio_scheme`] with an optional memo threaded into the exact
-/// strategy (recognized families and proved-optimal cache entries are
-/// offered to the race without DP work, and fresh DP wins are recorded
-/// for the rest of the workload; `None` is exactly [`portfolio_scheme`]),
-/// plus whether the returned scheme is *proved* optimal: the exact
-/// strategy finished, or the winner meets the certified floor.
-pub fn portfolio_scheme_memo(
+/// [`portfolio_scheme`] plus whether the returned scheme is *proved*
+/// optimal: the exact strategy finished, or the winner meets the
+/// certified floor. The memoized solve
+/// ([`crate::memo::solve_with_memo`]) probes the memo per component
+/// before it races, and records what this returns.
+pub fn portfolio_scheme_proved(
     g: &BipartiteGraph,
     threads: usize,
-    memo: Option<&Memo>,
 ) -> Result<(PebblingScheme, bool), PebbleError> {
     let _span = jp_obs::span("portfolio", "race");
     let _mem = jp_pulse::mem_scope(jp_pulse::MemScope::Solver);
@@ -229,7 +224,7 @@ pub fn portfolio_scheme_memo(
     let race_ref = &race;
     let completed = jp_par::run_tasks(threads, (0..STRATEGIES.len()).collect(), |_, idx| {
         let scheme = match idx {
-            0 => run_exact(g, race_ref, memo),
+            0 => run_exact(g, race_ref),
             1 => run_ladder(g, race_ref),
             2 => run_if_beatable(race_ref, || pebble_matching_cover(g)),
             3 => run_if_beatable(race_ref, || pebble_dfs_partition(g)),
@@ -369,7 +364,7 @@ mod tests {
             "instance must sit above the floor"
         );
         for threads in [1, 2, 8] {
-            let (s, proved) = portfolio_scheme_memo(&g, threads, None).unwrap();
+            let (s, proved) = portfolio_scheme_proved(&g, threads).unwrap();
             assert_eq!(s.effective_cost(&g), opt, "{threads} threads");
             assert!(proved, "{threads} threads");
         }

@@ -1,7 +1,7 @@
 //! A blocking client for the jp-serve wire protocol.
 
 use crate::proto::{self, FrameRead, Request, RequestBody, Response, WIRE_VERSION};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -31,7 +31,9 @@ const MAX_IDLE_POLLS: u32 = 1200;
 /// One connection to a jp-serve server; requests are synchronous, one
 /// in flight at a time.
 pub struct Client {
-    stream: TcpStream,
+    /// The connection, read through a buffer so a response frame,
+    /// header and payload, usually costs one read.
+    stream: BufReader<TcpStream>,
     next_id: u64,
 }
 
@@ -41,7 +43,10 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(READ_TIMEOUT))?;
         stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-        Ok(Client { stream, next_id: 1 })
+        Ok(Client {
+            stream: BufReader::new(stream),
+            next_id: 1,
+        })
     }
 
     /// Sends one request and blocks for its response.
@@ -64,7 +69,7 @@ impl Client {
             body,
         };
         {
-            let mut w = BufWriter::new(&mut self.stream);
+            let mut w = BufWriter::new(self.stream.get_mut());
             proto::write_message(&mut w, &req)?;
             w.flush()?;
         }

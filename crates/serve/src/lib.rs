@@ -7,8 +7,8 @@
 //!
 //! * [`proto`] — the versioned, length-prefixed JSON wire format;
 //! * [`server`] — the service itself: acceptor, per-connection
-//!   handlers, admission control, and a dispatcher that schedules
-//!   solver batches on the jp-par runtime over one shared
+//!   handlers, admission control, and a bounded set of solver slots;
+//!   each handler solves its own requests over one shared
 //!   [`jp_pebble::memo::Memo`];
 //! * [`client`] — a blocking client;
 //! * [`loadgen`] — a deterministic Zipf-skewed workload driver with

@@ -9,20 +9,24 @@
 //! * the **acceptor** (the thread that called [`Server::run`]) polls a
 //!   non-blocking listener and spawns one **handler** per connection;
 //! * each handler speaks the [`crate::proto`] frame protocol
-//!   synchronously: read a request, admit or reject it, and — for
-//!   admitted pebble jobs — block on a reply channel while the
-//!   dispatcher works;
-//! * the **dispatcher** drains the admitted-job queue in batches and
-//!   executes each batch on the jp-par runtime
-//!   ([`jp_par::run_tasks`]), so solver parallelism, work stealing,
-//!   and `par.*` telemetry are exactly the library's.
+//!   synchronously: read a request, admit or reject it, and — for an
+//!   admitted pebble job — take a solver slot, solve on its own thread,
+//!   and answer on its own socket.
+//!
+//! A request never changes thread between its frame and its answer.
+//! The solver slots, [`ServeConfig::threads`] of them, are a counting
+//! semaphore: at most that many requests solve at once, and the rest
+//! wait until one is returned. Taking or returning an uncontended slot
+//! costs no syscall. A solve that panics is caught on its handler and
+//! answered with a classified `Error`, and both its pending slot and
+//! its solver slot are released.
 //!
 //! ## Admission control
 //!
 //! A request is *rejected with a named reason* rather than queued
 //! without bound:
 //!
-//! * `--max-edges`: graphs above the size cap never enter the queue;
+//! * `--max-edges`: graphs above the size cap are never admitted;
 //! * `--max-pending`: at most this many admitted-but-unanswered jobs
 //!   exist at once (claimed with a compare-exchange, so the bound is
 //!   exact under concurrency);
@@ -35,11 +39,14 @@
 //!
 //! ## Telemetry
 //!
-//! Per request: a `serve.request` jp-obs span (with a
-//! `serve.queue_wait_us` counter inside it), a `serve.wire` span for
-//! the response write, and a `serve.latency_us` jp-pulse histogram
-//! (p50/p95/p99 in every pulse snapshot), plus a `serve.queue_depth`
-//! gauge from the dispatcher. When the client sent a tracing id (see
+//! Per request: a `serve.request` jp-obs span, opened when the job
+//! takes its solver slot, with a `serve.queue_wait_us` counter inside it
+//! (admission to slot), a `serve.wire` span for the response write, and
+//! a `serve.latency_us` jp-pulse histogram (p50/p95/p99 in every pulse
+//! snapshot), plus a `serve.queue_depth` gauge: admitted jobs waiting
+//! for a slot. The server schedules no jp-par batches, so its traces
+//! carry no `par.*` events of its own; only a cache miss's portfolio
+//! race emits them. When the client sent a tracing id (see
 //! [`crate::proto::Request::request`]) every one of those events — and
 //! everything the solver emits underneath them — is stamped with it,
 //! which is what `jp trace request <id>` reconstructs. At end of run
@@ -56,13 +63,12 @@ use crate::xray::{Xray, XrayConfig};
 use jp_graph::{BipartiteGraph, ComponentMap};
 use jp_pebble::memo::{solve_with_memo_report, Memo, MemoStats};
 use jp_pebble::{exact_bb, PebbleError};
-use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How long the acceptor sleeps when `accept` has nothing for it.
@@ -76,10 +82,6 @@ const HANDLER_READ_TIMEOUT: Duration = Duration::from_millis(50);
 /// cannot pin a handler thread forever.
 const HANDLER_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// How long the dispatcher waits on the queue condvar before
-/// re-checking the shutdown flag.
-const DISPATCH_WAIT: Duration = Duration::from_millis(100);
-
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -90,9 +92,10 @@ pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7411` (`:0` for an ephemeral
     /// port, reported by [`Server::local_addr`]).
     pub addr: String,
-    /// jp-par worker threads for solver batches. 1 executes jobs
-    /// sequentially on the dispatcher thread — the deterministic mode
-    /// the trace gate runs.
+    /// Solver slots: at most this many admitted requests solve at once,
+    /// each on its own connection's handler thread, while the rest wait
+    /// for a slot. Every solve is itself single-threaded. 1 solves one
+    /// request at a time — the deterministic mode the trace gate runs.
     pub threads: usize,
     /// Admission bound: maximum admitted-but-unanswered pebble jobs.
     pub max_pending: usize,
@@ -153,8 +156,8 @@ pub struct ServeReport {
     /// Sum of all answered costs — one number that differs if any
     /// single answer differs, which is what the trace gate wants.
     pub cost_sum: u64,
-    /// Whether the queue was empty and no job was in flight when the
-    /// dispatcher exited — i.e. shutdown drained cleanly.
+    /// Whether no admitted job was left unanswered once every handler
+    /// had joined — i.e. shutdown drained cleanly.
     pub drained: bool,
     /// Entries in the warm store at exit.
     pub memo_entries: usize,
@@ -170,34 +173,16 @@ pub struct ServeReport {
     pub xray_dropped: u64,
 }
 
-/// One admitted pebble job, queued handler → dispatcher. The reply
-/// channel closes (dispatcher side) if execution dies, so the handler
-/// always learns the outcome — a response or a closed channel, never
-/// silence.
-struct Job {
-    graph: BipartiteGraph,
-    algo: PebbleAlgo,
-    /// Client-minted tracing id, stamped into every jp-obs event the
-    /// job emits (old clients send none — the job still runs, its
-    /// events just stay unstamped).
-    request: Option<u64>,
-    /// When the handler queued the job; the gap to execution start is
-    /// the `serve.queue_wait_us` counter.
-    enqueued: Instant,
-    reply: mpsc::Sender<ResponseBody>,
-}
-
-/// State shared by acceptor, handlers, and dispatcher. All counters
-/// are SeqCst: this is control-plane accounting on a network service,
-/// not a solver hot loop, and the strongest ordering keeps every
-/// cross-thread invariant (admission bound, drain condition) easy to
-/// believe.
+/// State shared by the acceptor and the handlers. All counters are
+/// SeqCst: this is control-plane accounting on a network service, not a
+/// solver hot loop, and the strongest ordering keeps every cross-thread
+/// invariant (admission bound, drain condition) easy to believe.
 struct Shared {
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
     shutdown: AtomicBool,
-    /// Admitted-but-unanswered pebble jobs (queued + executing).
+    /// Admitted-but-unanswered pebble jobs (waiting for a slot or
+    /// solving).
     pending: AtomicUsize,
+    slots: Slots,
     connections: AtomicU64,
     accepted: AtomicU64,
     completed: AtomicU64,
@@ -207,12 +192,11 @@ struct Shared {
 }
 
 impl Shared {
-    fn new() -> Shared {
+    fn new(threads: usize) -> Shared {
         Shared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
             shutdown: AtomicBool::new(false),
             pending: AtomicUsize::new(0),
+            slots: Slots::new(threads.max(1)),
             connections: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -228,7 +212,6 @@ impl Shared {
 
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.available.notify_all();
     }
 
     /// Claims one pending slot iff fewer than `cap` are taken. The
@@ -249,13 +232,77 @@ impl Shared {
     }
 }
 
-/// Releases one pending slot on drop, so even a panicking solver task
-/// (contained by jp-par) cannot strand the drain condition above zero.
+/// Releases one pending slot on drop, so the drain condition returns to
+/// zero however the job ended.
 struct PendingGuard<'a>(&'a Shared);
 
 impl Drop for PendingGuard<'_> {
     fn drop(&mut self) {
         self.0.pending.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The solver slots: a counting semaphore bounding how many admitted
+/// jobs solve at once. The count's lock is never held across a solve or
+/// a telemetry call. An uncontended take or release is one uncontended
+/// lock round-trip, no syscall, and a release signals the condvar only
+/// when a job is waiting.
+struct Slots {
+    count: Mutex<SlotCount>,
+    freed: Condvar,
+}
+
+struct SlotCount {
+    free: usize,
+    /// Admitted jobs blocked on a slot: the `serve.queue_depth` gauge.
+    waiting: usize,
+}
+
+impl Slots {
+    fn new(slots: usize) -> Slots {
+        Slots {
+            count: Mutex::new(SlotCount {
+                free: slots,
+                waiting: 0,
+            }),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// Takes a slot, blocking while every slot is held.
+    fn acquire(&self) -> SlotGuard<'_> {
+        let mut count = lock(&self.count);
+        if count.free == 0 {
+            count.waiting += 1;
+            let depth = count.waiting;
+            drop(count);
+            jp_pulse::gauge_set("serve.queue_depth", depth as u64);
+            count = lock(&self.count);
+            while count.free == 0 {
+                count = self.freed.wait(count).unwrap_or_else(|e| e.into_inner());
+            }
+            count.waiting -= 1;
+        }
+        count.free -= 1;
+        let depth = count.waiting;
+        drop(count);
+        jp_pulse::gauge_set("serve.queue_depth", depth as u64);
+        SlotGuard(self)
+    }
+}
+
+/// Returns its slot on drop, waking one waiting job if there is one.
+struct SlotGuard<'a>(&'a Slots);
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        let mut count = lock(&self.0.count);
+        count.free += 1;
+        let wake = count.waiting > 0;
+        drop(count);
+        if wake {
+            self.0.freed.notify_one();
+        }
     }
 }
 
@@ -313,7 +360,7 @@ impl Server {
         let _obs = jp_obs::adopt();
         let _pulse = jp_pulse::adopt();
         self.listener.set_nonblocking(true)?;
-        let shared = Shared::new();
+        let shared = Shared::new(self.cfg.threads);
         let cfg = &self.cfg;
         let memo = &self.memo;
         // Tail sampler: installed as the jp-obs *tap* so it rides
@@ -331,11 +378,12 @@ impl Server {
             .as_ref()
             .map(|x| jp_obs::set_tap(x.clone() as std::sync::Arc<dyn jp_obs::Sink>));
         std::thread::scope(|s| {
-            s.spawn(|| dispatch_loop(&shared, memo, cfg));
             accept_loop(&self.listener, s, &shared, memo, cfg, xray.as_deref());
         });
         drop(tap);
-        let drained = lock(&shared.queue).is_empty() && shared.pending.load(Ordering::SeqCst) == 0;
+        // every handler has joined: a job still pending now was never
+        // answered
+        let drained = shared.pending.load(Ordering::SeqCst) == 0;
         let report = ServeReport {
             connections: shared.connections.load(Ordering::SeqCst),
             accepted: shared.accepted.load(Ordering::SeqCst),
@@ -401,16 +449,13 @@ fn accept_loop<'scope, 'env>(
             }
         }
     }
-    // make sure the dispatcher re-checks the flag even if no handler
-    // ever enqueued anything
-    shared.available.notify_all();
 }
 
 /// One connection: a synchronous request/response loop over the frame
 /// protocol. Exits on peer close, connection error, or (when idle)
 /// server shutdown.
 fn handle_conn(
-    mut stream: TcpStream,
+    stream: TcpStream,
     shared: &Shared,
     memo: &Memo,
     cfg: &ServeConfig,
@@ -427,8 +472,11 @@ fn handle_conn(
         shared.errors.fetch_add(1, Ordering::SeqCst);
         return;
     }
+    // a buffered reader usually takes a whole frame, header and payload,
+    // in one read
+    let mut reader = BufReader::new(&stream);
     loop {
-        let payload = match proto::read_frame(&mut stream) {
+        let payload = match proto::read_frame(&mut reader) {
             Ok(FrameRead::Frame(p)) => p,
             Ok(FrameRead::Eof) => return,
             Ok(FrameRead::Idle) => {
@@ -447,15 +495,14 @@ fn handle_conn(
             Err(reason) => {
                 shared.errors.fetch_add(1, Ordering::SeqCst);
                 jp_pulse::counter_add("serve.errors", 1);
-                if respond(&mut stream, 0, ResponseBody::Error { reason }).is_err() {
+                if respond(&stream, 0, ResponseBody::Error { reason }).is_err() {
                     return;
                 }
                 continue;
             }
         };
-        // Stamp every event this request causes on the handler thread
-        // with its tracing id; the dispatcher hands the id onward so
-        // solver-side events carry it too. Dropped at loop end.
+        // Stamp every event this request causes with its tracing id; the
+        // solve runs on this thread too. Dropped at loop end.
         let _req = jp_obs::with_request(request);
         let t0 = Instant::now();
         let reply = match body {
@@ -465,18 +512,19 @@ fn handle_conn(
                 shared.begin_shutdown();
                 ResponseBody::ShuttingDown
             }
-            RequestBody::Pebble { graph, algo } => admit(graph, algo, request, shared, cfg),
+            RequestBody::Pebble { graph, algo } => admit(graph.edge_count(), shared, cfg, || {
+                solve_body(&graph, algo, memo, cfg)
+            }),
         };
         let failed = matches!(reply, ResponseBody::Error { .. });
         let wrote = {
             // serve.wire: response serialization + socket write, the
             // last leg of the request's critical path
             let _wire = jp_obs::span("serve", "wire");
-            respond(&mut stream, id, reply)
+            respond(&stream, id, reply)
         };
         if let (Some(x), Some(rid)) = (xray, request) {
-            let micros = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            x.finish(rid, micros, failed || wrote.is_err());
+            x.finish(rid, micros(t0.elapsed()), failed || wrote.is_err());
         }
         if wrote.is_err() {
             shared.errors.fetch_add(1, Ordering::SeqCst);
@@ -485,27 +533,26 @@ fn handle_conn(
     }
 }
 
-/// Admission control for one pebble request; blocks on the reply
-/// channel once the job is admitted.
+/// Admission control for one pebble request of `edges` edges. An
+/// admitted job waits for a solver slot and runs `solve` on the calling
+/// handler thread.
 fn admit(
-    graph: BipartiteGraph,
-    algo: PebbleAlgo,
-    request: Option<u64>,
+    edges: usize,
     shared: &Shared,
     cfg: &ServeConfig,
+    solve: impl FnOnce() -> ResponseBody,
 ) -> ResponseBody {
     if shared.shutting_down() {
         shared.rejected.fetch_add(1, Ordering::SeqCst);
         jp_pulse::counter_add("serve.rejected", 1);
         return ResponseBody::ShuttingDown;
     }
-    if graph.edge_count() > cfg.max_edges {
+    if edges > cfg.max_edges {
         shared.rejected.fetch_add(1, Ordering::SeqCst);
         jp_pulse::counter_add("serve.rejected", 1);
         return ResponseBody::Rejected {
             reason: format!(
-                "graph has {} edges, above the --max-edges cap of {}",
-                graph.edge_count(),
+                "graph has {edges} edges, above the --max-edges cap of {}",
                 cfg.max_edges
             ),
         };
@@ -521,31 +568,10 @@ fn admit(
         };
     }
     shared.accepted.fetch_add(1, Ordering::SeqCst);
-    let (tx, rx) = mpsc::channel();
-    {
-        let mut q = lock(&shared.queue);
-        q.push_back(Job {
-            graph,
-            algo,
-            request,
-            enqueued: Instant::now(),
-            reply: tx,
-        });
-    }
-    shared.available.notify_one();
-    match rx.recv() {
-        Ok(body) => body,
-        Err(_) => {
-            // the dispatcher dropped the job without answering (a
-            // contained solver panic); the slot was released by the
-            // job's PendingGuard — report, don't hang
-            shared.errors.fetch_add(1, Ordering::SeqCst);
-            jp_pulse::counter_add("serve.errors", 1);
-            ResponseBody::Error {
-                reason: "the solver task died before producing an answer".to_string(),
-            }
-        }
-    }
+    let _pending = PendingGuard(shared);
+    let admitted = Instant::now();
+    let _slot = shared.slots.acquire();
+    execute_job(admitted, shared, solve)
 }
 
 /// Builds the `Stats` response from the shared counters and the warm
@@ -564,93 +590,43 @@ fn stats_body(shared: &Shared, memo: &Memo) -> ResponseBody {
 }
 
 /// Writes one response frame.
-fn respond(stream: &mut TcpStream, id: u64, body: ResponseBody) -> io::Result<()> {
+fn respond(stream: &TcpStream, id: u64, body: ResponseBody) -> io::Result<()> {
     let resp = Response {
         v: WIRE_VERSION,
         id,
         body,
     };
-    let mut w = io::BufWriter::new(&mut *stream);
+    let mut w = io::BufWriter::new(stream);
     proto::write_message(&mut w, &resp)?;
     w.flush()
 }
 
-/// The dispatcher: drains the admitted-job queue in batches and runs
-/// each batch on the jp-par runtime. Exits only when shutdown is
-/// flagged *and* no work is queued or in flight — that is the clean
-/// drain the report's `drained` field attests.
-fn dispatch_loop(shared: &Shared, memo: &Memo, cfg: &ServeConfig) {
-    let _obs = jp_obs::adopt();
-    let _pulse = jp_pulse::adopt();
-    loop {
-        let (depth, batch) = {
-            let mut q = lock(&shared.queue);
-            while q.is_empty() && !shared.shutting_down() {
-                let (guard, _timed_out) = shared
-                    .available
-                    .wait_timeout(q, DISPATCH_WAIT)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-            let depth = q.len();
-            (depth, q.drain(..).collect::<Vec<Job>>())
-        };
-        jp_pulse::gauge_set("serve.queue_depth", depth as u64);
-        if batch.is_empty() {
-            if shared.shutting_down() && shared.pending.load(Ordering::SeqCst) == 0 {
-                return;
-            }
-            continue;
-        }
-        // jp-par contains per-task panics but re-throws them here;
-        // catching keeps the dispatcher alive, and the dropped reply
-        // senders tell the affected handlers exactly what happened.
-        let threads = cfg.threads.max(1);
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            jp_par::run_tasks(threads, batch, |_w, job| {
-                execute_job(job, memo, cfg, shared)
-            });
-        }));
-        if run.is_err() {
-            shared.errors.fetch_add(1, Ordering::SeqCst);
-            jp_pulse::counter_add("serve.errors", 1);
-        }
-        jp_pulse::gauge_set("serve.queue_depth", 0);
-    }
-}
-
-/// Executes one admitted job on a jp-par worker (or the dispatcher
-/// itself at `threads == 1`), answers the waiting handler, and does
-/// the per-request accounting.
-fn execute_job(job: Job, memo: &Memo, cfg: &ServeConfig, shared: &Shared) {
-    let _slot = PendingGuard(shared);
+/// Runs one admitted job in its solver slot and does the per-request
+/// accounting. A panicking solve is contained here and answered with a
+/// classified error; the caller's guards release both slots either way.
+fn execute_job(
+    admitted: Instant,
+    shared: &Shared,
+    solve: impl FnOnce() -> ResponseBody,
+) -> ResponseBody {
     let t0 = Instant::now();
-    // Adopt the job's tracing id for everything the solve emits —
-    // worker threads don't inherit the handler's context, the id rides
-    // the Job itself.
-    let _req = jp_obs::with_request(job.request);
-    let queue_wait = job.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    let body = {
+    let queue_wait = micros(t0.duration_since(admitted));
+    let solved = {
         let _span = jp_obs::span("serve", "request");
         jp_obs::counter("serve", "queue_wait_us", queue_wait);
-        solve_body(&job.graph, job.algo, memo, cfg)
+        std::panic::catch_unwind(AssertUnwindSafe(solve))
     };
-    let micros = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    let body = match body {
-        ResponseBody::Cost {
-            cost,
-            components,
-            served,
-            fresh,
-            micros: _,
-        } => ResponseBody::Cost {
-            cost,
-            components,
-            served,
-            fresh,
-            micros,
+    let micros = micros(t0.elapsed());
+    let body = match solved {
+        Ok(mut body) => {
+            if let ResponseBody::Cost { micros: m, .. } = &mut body {
+                *m = micros;
+            }
+            body
+        }
+        Err(_) => ResponseBody::Error {
+            reason: "the solver task died before producing an answer".to_string(),
         },
-        other => other,
     };
     match &body {
         ResponseBody::Cost { cost, .. } => {
@@ -668,17 +644,17 @@ fn execute_job(job: Job, memo: &Memo, cfg: &ServeConfig, shared: &Shared) {
         }
     }
     jp_pulse::observe("serve.latency_us", micros);
-    if job.reply.send(body).is_err() {
-        // the handler is gone (its client vanished mid-request); the
-        // answer is computed and recorded, just undeliverable
-        shared.errors.fetch_add(1, Ordering::SeqCst);
-        jp_pulse::counter_add("serve.errors", 1);
-    }
+    body
+}
+
+/// `d` in whole microseconds, saturating.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Runs the requested solver rung. Jobs solve single-threaded
-/// (`threads == 1` inside the solve): parallelism comes from jp-par
-/// running many jobs at once, and a sequential solve per job is what
+/// (`threads == 1` inside the solve): parallelism comes from many
+/// handlers solving at once, and a sequential solve per job is what
 /// makes the memo counters of a fixed workload deterministic.
 fn solve_body(
     g: &BipartiteGraph,
@@ -717,5 +693,90 @@ fn solve_body(
                 reason: format!("solver error: {e}"),
             },
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cost(cost: u64) -> ResponseBody {
+        ResponseBody::Cost {
+            cost,
+            components: 1,
+            served: 0,
+            fresh: 1,
+            micros: 0,
+        }
+    }
+
+    fn free_slots(shared: &Shared) -> usize {
+        lock(&shared.slots.count).free
+    }
+
+    #[test]
+    fn no_more_than_threads_solves_hold_a_slot_at_once() {
+        for threads in [1, 2, 3] {
+            let shared = Shared::new(threads);
+            let cfg = ServeConfig {
+                threads,
+                max_pending: usize::MAX,
+                ..ServeConfig::default()
+            };
+            let (inside, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let solve = || {
+                let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+                most.fetch_max(now, Ordering::SeqCst);
+                // Hold the slot until the bound has been reached once, so
+                // the test cannot pass by never overlapping, then a little
+                // longer so later solves overlap too.
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while most.load(Ordering::SeqCst) < threads && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                std::thread::sleep(Duration::from_micros(200));
+                inside.fetch_sub(1, Ordering::SeqCst);
+                cost(1)
+            };
+            let jobs = 4 * threads + 2;
+            std::thread::scope(|s| {
+                for _ in 0..jobs {
+                    s.spawn(|| {
+                        let body = admit(1, &shared, &cfg, solve);
+                        assert!(matches!(body, ResponseBody::Cost { .. }), "{body:?}");
+                    });
+                }
+            });
+            assert_eq!(most.load(Ordering::SeqCst), threads, "threads = {threads}");
+            assert_eq!(shared.completed.load(Ordering::SeqCst), jobs as u64);
+            assert_eq!(shared.pending.load(Ordering::SeqCst), 0);
+            assert_eq!(free_slots(&shared), threads);
+        }
+    }
+
+    #[test]
+    fn a_panicking_solve_is_answered_and_releases_both_slots() {
+        let shared = Shared::new(1);
+        let cfg = ServeConfig::default();
+        let died = admit(1, &shared, &cfg, || -> ResponseBody {
+            panic!("solver bug")
+        });
+        match died {
+            ResponseBody::Error { reason } => {
+                assert!(reason.contains("solver task died"), "{reason}")
+            }
+            other => panic!("expected an error answer, got {other:?}"),
+        }
+        assert_eq!(shared.errors.load(Ordering::SeqCst), 1);
+        assert_eq!(shared.pending.load(Ordering::SeqCst), 0);
+        assert_eq!(free_slots(&shared), 1);
+        // the only slot is free again, so the next job is served
+        let next = admit(1, &shared, &cfg, || cost(7));
+        assert!(
+            matches!(next, ResponseBody::Cost { cost: 7, .. }),
+            "{next:?}"
+        );
+        assert_eq!(shared.completed.load(Ordering::SeqCst), 1);
+        assert_eq!(shared.cost_sum.load(Ordering::SeqCst), 7);
     }
 }

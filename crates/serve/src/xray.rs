@@ -177,8 +177,9 @@ impl Xray {
             })
             .collect();
         // The buffer holds only this request's stamped events; a parent
-        // link reaching outside it (the dispatcher's unstamped batch
-        // span) would dangle in the sidecar file and read as a hole to
+        // link reaching outside it (an unstamped span that was open on
+        // the thread when the request began) would dangle in the
+        // sidecar file and read as a hole to
         // `jp trace request`. Sever those links so each flushed request
         // is self-contained and reconstructs COMPLETE on its own.
         let own_spans: std::collections::BTreeSet<u64> = kept
@@ -216,7 +217,7 @@ impl Xray {
 
 impl Sink for Xray {
     /// Buffers one request-stamped event; everything unstamped (global
-    /// totals, dispatcher telemetry) is not this sampler's business.
+    /// totals, server-wide telemetry) is not this sampler's business.
     // audit:allow(obs-coverage) sink callback — runs inside jp-obs dispatch, emitting from here would recurse
     fn record(&self, event: &Event) {
         let Some(id) = event.request else {
@@ -341,7 +342,7 @@ mod tests {
             path: path.clone(),
         })
         .expect("create");
-        // root parents under an unstamped dispatcher span (seq 99, not
+        // root parents under an unstamped outer span (seq 99, not
         // buffered); the wire span parents under the root (seq 2, kept)
         let mut root = stamped(2, "serve", "request", 7);
         root.parent = Some(99);

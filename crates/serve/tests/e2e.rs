@@ -8,6 +8,7 @@ use jp_serve::loadgen::{expected_costs, query_pool, run_loadgen, LoadgenConfig};
 use jp_serve::proto::{PebbleAlgo, Request, RequestBody, ResponseBody, WIRE_VERSION};
 use jp_serve::{Client, ServeConfig, ServeReport, Server};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 
 /// Binds a server on an ephemeral loopback port and runs it on a
 /// spawned thread; returns the address and the join handle.
@@ -23,6 +24,15 @@ fn start_server(
     (addr, handle)
 }
 
+/// Serializes the tests that run a server. The xray sampler is the
+/// process-wide jp-obs tap, so while one test's sampler is installed it
+/// also buffers the request-stamped events of any other test's server,
+/// and counts them as dropped when they never finish there.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("jp-serve-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -32,42 +42,51 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn concurrent_load_gets_sequential_answers_and_a_clean_drain() {
-    let (addr, handle) = start_server(ServeConfig {
-        threads: 4,
-        ..ServeConfig::default()
-    });
-    let cfg = LoadgenConfig {
-        addr,
-        clients: 8,
-        requests: 15,
-        verify: true,
-        shutdown: true,
-        ..LoadgenConfig::default()
-    };
-    let report = run_loadgen(&cfg).expect("loadgen run");
-    let served = handle.join().expect("server thread").expect("server run");
+    let _serial = serial();
+    // eight clients into one solver slot, into two, and into one slot
+    // each
+    for threads in [1, 2, 8] {
+        let (addr, handle) = start_server(ServeConfig {
+            threads,
+            ..ServeConfig::default()
+        });
+        let cfg = LoadgenConfig {
+            addr,
+            clients: 8,
+            requests: 15,
+            verify: true,
+            shutdown: true,
+            ..LoadgenConfig::default()
+        };
+        let report = run_loadgen(&cfg).expect("loadgen run");
+        let served = handle.join().expect("server thread").expect("server run");
 
-    // every single answer equals the sequential solver's answer
-    assert_eq!(report.mismatches, 0, "{report:?}");
-    assert_eq!(report.errors, 0, "{report:?}");
-    assert_eq!(report.sent, 8 * 15);
-    assert_eq!(report.ok, report.sent, "{report:?}");
-    assert!(report.p50_us <= report.p95_us && report.p95_us <= report.p99_us);
+        // every single answer equals the sequential solver's answer
+        assert_eq!(report.mismatches, 0, "threads {threads}: {report:?}");
+        assert_eq!(report.errors, 0, "threads {threads}: {report:?}");
+        assert_eq!(report.sent, 8 * 15);
+        assert_eq!(report.ok, report.sent, "threads {threads}: {report:?}");
+        assert!(report.p50_us <= report.p95_us && report.p95_us <= report.p99_us);
 
-    // the two sides of the wire agree on what happened
-    assert_eq!(served.completed, report.ok, "{served:?}");
-    assert_eq!(served.cost_sum, report.cost_sum, "{served:?}");
-    assert_eq!(served.errors, 0, "{served:?}");
-    // 8 workload clients + the stats/shutdown probe connection
-    assert_eq!(served.connections, 9, "{served:?}");
-    assert!(
-        served.drained,
-        "shutdown must drain in-flight work: {served:?}"
-    );
+        // the two sides of the wire agree on what happened
+        assert_eq!(served.completed, report.ok, "threads {threads}: {served:?}");
+        assert_eq!(
+            served.cost_sum, report.cost_sum,
+            "threads {threads}: {served:?}"
+        );
+        assert_eq!(served.errors, 0, "threads {threads}: {served:?}");
+        // 8 workload clients + the stats/shutdown probe connection
+        assert_eq!(served.connections, 9, "threads {threads}: {served:?}");
+        assert!(
+            served.drained,
+            "shutdown must drain in-flight work at threads {threads}: {served:?}"
+        );
+    }
 }
 
 #[test]
 fn oversized_graphs_are_rejected_with_the_flag_named() {
+    let _serial = serial();
     let (addr, handle) = start_server(ServeConfig {
         max_edges: 5,
         ..ServeConfig::default()
@@ -95,6 +114,7 @@ fn oversized_graphs_are_rejected_with_the_flag_named() {
 
 #[test]
 fn the_pending_bound_rejects_rather_than_queueing_without_limit() {
+    let _serial = serial();
     // max_pending = 0: no pebble job can ever claim a slot, so every
     // one must bounce with the admission reason — never hang, never
     // queue.
@@ -125,6 +145,7 @@ fn the_pending_bound_rejects_rather_than_queueing_without_limit() {
 
 #[test]
 fn budget_exhaustion_is_back_pressure_not_an_error() {
+    let _serial = serial();
     let (addr, handle) = start_server(ServeConfig {
         budget: 1, // one node: any real bb search exhausts immediately
         ..ServeConfig::default()
@@ -147,6 +168,7 @@ fn budget_exhaustion_is_back_pressure_not_an_error() {
 
 #[test]
 fn wire_version_mismatch_is_answered_not_dropped() {
+    let _serial = serial();
     let (addr, handle) = start_server(ServeConfig::default());
     // speak the framing by hand so we can lie about the version
     let mut stream = std::net::TcpStream::connect(addr.as_str()).expect("connect");
@@ -180,6 +202,7 @@ fn wire_version_mismatch_is_answered_not_dropped() {
 
 #[test]
 fn warm_restart_serves_the_second_pass_from_the_checkpoint() {
+    let _serial = serial();
     let dir = fresh_dir("warm");
     let memo_file = dir.join("memo.jsonl");
 
@@ -229,6 +252,7 @@ fn warm_restart_serves_the_second_pass_from_the_checkpoint() {
 
 #[test]
 fn the_tail_sampler_keeps_slow_requests_and_downsamples_fast_ones() {
+    let _serial = serial();
     let dir = fresh_dir("xray");
 
     // first lifetime: a 0µs threshold makes every request an exemplar
@@ -313,6 +337,7 @@ fn the_verification_pool_is_deterministic_and_solvable() {
 
 #[test]
 fn max_requests_bound_shuts_the_server_down_by_itself() {
+    let _serial = serial();
     let (addr, handle) = start_server(ServeConfig {
         max_requests: 5,
         ..ServeConfig::default()

@@ -3,17 +3,17 @@
 //!
 //! jp-serve stamps every jp-obs event a request causes with the
 //! client-minted tracing id (`Event::request`): the handler's
-//! `serve.wire` span, the worker's `serve.request` span and
-//! `serve.queue_wait_us` counter, and everything the solver ladder
-//! emits underneath — memo probes, wcoj operators, exact/bb search
-//! spans — even when the job hops from the handler thread through the
-//! dispatcher onto a jp-par worker. This module inverts that: given a
-//! trace (a full `--trace` capture or a server's tail-sampled xray
-//! file) and an id, it rebuilds the request's cross-thread span tree,
+//! `serve.request` span and `serve.queue_wait_us` counter, its
+//! `serve.wire` span, and everything the solver ladder emits underneath
+//! — memo probes, wcoj operators, exact/bb search spans — including the
+//! events of jp-par workers a solve fans out to. This module inverts
+//! that: given a trace (a full `--trace` capture or a server's
+//! tail-sampled xray file) and an id, it rebuilds the request's
+//! cross-thread span tree,
 //! walks its critical path, and attributes the latency to five blame
 //! buckets:
 //!
-//! * **queue** — handler-enqueue to execution-start, from the
+//! * **queue** — admission to solver-slot acquisition, from the
 //!   `serve.queue_wait_us` counter (time spent waiting, not working);
 //! * **memo** — self-time of `memo.*` spans (warm-store probes);
 //! * **wcoj** — self-time of `wcoj.*` spans (multiway join operators);
@@ -297,8 +297,9 @@ fn build(id: u64, mine: &[&Event], all_span_seqs: &BTreeSet<u64>) -> RequestTrac
         }
         // Orphan = the parent resolves nowhere: not to a span of this
         // request and not to any span in the surrounding trace. A
-        // parent outside the request (the dispatcher's par.run over a
-        // whole batch) is a normal cross-request boundary, not a hole.
+        // parent outside the request (an unstamped span of whatever
+        // called into the request) is a normal cross-request boundary,
+        // not a hole.
         if let Some(p) = e.parent {
             if !all_span_seqs.contains(&p) {
                 trace.orphans += 1;
