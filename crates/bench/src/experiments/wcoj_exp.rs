@@ -32,6 +32,7 @@ pub fn e23_wcoj() -> (String, bool) {
         "rows",
         "AGM bound",
         "seeks",
+        "words",
         "intermediate",
         "vs cascade",
     ]);
@@ -81,6 +82,7 @@ pub fn e23_wcoj() -> (String, bool) {
                 res.rows.len().to_string(),
                 format!("{:.0}", res.agm_bound),
                 res.stats.seeks.to_string(),
+                res.stats.words.to_string(),
                 res.stats.intermediate.to_string(),
                 format!("{gap:.1}x"),
             ]);
@@ -125,9 +127,13 @@ pub fn e23_wcoj() -> (String, bool) {
          even when the binary join *plan* is catastrophically worse than the \
          multiway one. The engines walk CSR tries (per level, the distinct \
          keys plus child and row offsets): `open` and `advance` are O(1) and \
-         a seek binary-searches only the current node's distinct keys, while \
-         the seek and intermediate counters above are the same as over a \
-         flat sorted-row trie, because `remaining` still counts rows.",
+         a seek binary-searches only the current node's distinct keys. A node \
+         whose keys span fewer 64-key words than it has keys also stores a \
+         bitset, and a level where every participant's node is such a bitset \
+         is intersected by ANDing the aligned words (the words column) \
+         instead of seeking; a sparse or mixed level seeks as before. The \
+         rows and intermediate counts do not depend on which path a level \
+         takes.",
     );
     let _ = writeln!(
         out,

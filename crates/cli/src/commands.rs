@@ -561,12 +561,13 @@ pub fn join(args: &[String], out: Out) -> Result<(), CliError> {
                 }
                 writeln!(
                     out,
-                    "  {:<8} {:>8} rows  {:>9.3} ms  seeks {:>9}  intermediate {:>9}  \
-                     AGM bound {:.1}",
+                    "  {:<8} {:>8} rows  {:>9.3} ms  seeks {:>9}  words {:>7}  \
+                     intermediate {:>9}  AGM bound {:.1}",
                     algo.name(),
                     res.rows.len(),
                     t0.elapsed().as_secs_f64() * 1e3,
                     res.stats.seeks,
+                    res.stats.words,
                     res.stats.intermediate,
                     res.agm_bound
                 )
@@ -649,6 +650,7 @@ struct ExplainObservedDoc {
     rows: usize,
     estimated_rows: f64,
     seeks: u64,
+    words: u64,
     emits: u64,
     intermediate: u64,
     counters: std::collections::BTreeMap<String, u64>,
@@ -677,10 +679,11 @@ struct ExplainDoc {
 /// cover weights, AGM bound) annotated with *observed* counters: the
 /// same `(q, rels)` instance is solved under a jp-obs tap stamped with
 /// a minted tracing id, and the plan's estimated output (the AGM bound)
-/// is reported next to the actual rows, seeks and intermediates. The
-/// command fails if the run's `wcoj.seek`/`wcoj.emit`/
-/// `wcoj.intermediate` counters disagree with the solver's returned
-/// stats — the emitted telemetry must be the truth.
+/// is reported next to the actual rows, seeks, words and
+/// intermediates. The command fails if the run's `wcoj.seek`/
+/// `wcoj.words`/`wcoj.emit`/`wcoj.intermediate` counters disagree with
+/// the solver's returned stats — the emitted telemetry must be the
+/// truth.
 pub fn explain(args: &[String], out: Out) -> Result<(), CliError> {
     let a = ParsedArgs::parse(args)?;
     let wl = a.pos(0, "workload (triangle | clique4 | bowtie)")?;
@@ -738,6 +741,7 @@ pub fn explain(args: &[String], out: Out) -> Result<(), CliError> {
     }
     let obs = |key: &str| observed.get(key).copied().unwrap_or(0);
     let counters_match = obs("wcoj.seek") == res.stats.seeks
+        && obs("wcoj.words") == res.stats.words
         && obs("wcoj.emit") == res.stats.emits
         && obs("wcoj.intermediate") == res.stats.intermediate
         && res.stats.emits == res.rows.len() as u64;
@@ -774,6 +778,7 @@ pub fn explain(args: &[String], out: Out) -> Result<(), CliError> {
                 rows: res.rows.len(),
                 estimated_rows: plan.agm_bound,
                 seeks: res.stats.seeks,
+                words: res.stats.words,
                 emits: res.stats.emits,
                 intermediate: res.stats.intermediate,
                 counters: observed.clone(),
@@ -858,14 +863,15 @@ pub fn explain(args: &[String], out: Out) -> Result<(), CliError> {
         .map_err(CliError::io)?;
         writeln!(
             out,
-            "  seeks {}  emits {}  intermediates {}",
-            res.stats.seeks, res.stats.emits, res.stats.intermediate
+            "  seeks {}  words {}  emits {}  intermediates {}",
+            res.stats.seeks, res.stats.words, res.stats.emits, res.stats.intermediate
         )
         .map_err(CliError::io)?;
         writeln!(
             out,
-            "  obs counters wcoj.seek/emit/intermediate = {}/{}/{} — {}",
+            "  obs counters wcoj.seek/words/emit/intermediate = {}/{}/{}/{} — {}",
             obs("wcoj.seek"),
+            obs("wcoj.words"),
             obs("wcoj.emit"),
             obs("wcoj.intermediate"),
             if counters_match { "match" } else { "MISMATCH" }
@@ -875,11 +881,14 @@ pub fn explain(args: &[String], out: Out) -> Result<(), CliError> {
     if !counters_match {
         return Err(rt(format!(
             "observed counters diverge from the solver's stats: \
-             wcoj.seek/emit/intermediate = {}/{}/{} but stats say {}/{}/{} ({} rows)",
+             wcoj.seek/words/emit/intermediate = {}/{}/{}/{} but stats say {}/{}/{}/{} \
+             ({} rows)",
             obs("wcoj.seek"),
+            obs("wcoj.words"),
             obs("wcoj.emit"),
             obs("wcoj.intermediate"),
             res.stats.seeks,
+            res.stats.words,
             res.stats.emits,
             res.stats.intermediate,
             res.rows.len()

@@ -542,6 +542,7 @@ mod tests {
             "\"variable_order\"",
             "\"agm_bound\"",
             "wcoj.seek",
+            "wcoj.words",
             "wcoj.emit",
             "wcoj.intermediate",
         ] {

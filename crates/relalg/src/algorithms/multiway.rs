@@ -12,20 +12,32 @@
 //!   others are probed by seek — the textbook form whose runtime is
 //!   bounded by the AGM fractional-cover output bound.
 //!
+//! Both share one intersection step. When every participant's freshly
+//! opened trie node is stored as a bitset (see [`crate::trie`]), it ANDs
+//! their aligned words and positions every participant on each set bit
+//! by rank and popcount: an intersection linear in the smallest word
+//! span, which keeps generic join's AGM guarantee. Otherwise, including
+//! on a level mixing dense and sparse nodes, the algorithm's own seeks
+//! run. Which plan levels can be all dense at all is decided once per
+//! plan from the tries, so a level with a sparse-only participant never
+//! checks, and the others check the participant least often dense
+//! first.
+//!
 //! Both are compared against [`MultiwayAlgo::Cascade`], the binary
 //! nested-loops join tree that materializes every intermediate result —
 //! the baseline whose intermediate-tuple blowup on skewed instances is
 //! exactly what worst-case optimality eliminates (experiment E23).
 //!
 //! Work counters are deterministic and surface through jp-obs
-//! (`wcoj.seek`, `wcoj.emit`, `wcoj.intermediate`), so `jp trace check`
-//! gates them against the committed baseline. This module is in the
-//! jp-audit panic-freedom scope: all cursor access is checked, and
-//! planner invariant breaks surface as [`RelalgError::Internal`].
+//! (`wcoj.seek`, `wcoj.words`, `wcoj.emit`, `wcoj.intermediate`), so
+//! `jp trace check` gates them against the committed baseline. This
+//! module is in the jp-audit panic-freedom scope: all cursor access is
+//! checked, and planner invariant breaks surface as
+//! [`RelalgError::Internal`].
 
 use crate::error::RelalgError;
 use crate::query::ConjunctiveQuery;
-use crate::trie::{MultiRelation, TrieIndex, TrieIter};
+use crate::trie::{DenseNode, MultiRelation, TrieIndex, TrieIter};
 use jp_graph::BipartiteGraph;
 use std::collections::HashMap;
 
@@ -73,7 +85,11 @@ impl std::str::FromStr for MultiwayAlgo {
 pub struct MultiwayStats {
     /// Cursor movements: `open`/`advance`/`seek` calls (and, for the
     /// cascade, tuple-pair comparisons — its analogue of a probe).
+    /// Beyond the `open`s, these happen on sparse and mixed levels only.
     pub seeks: u64,
+    /// Bitset words ANDed: one per aligned word position an all-dense
+    /// level intersects, whatever the number of participants.
+    pub words: u64,
     /// Output rows emitted.
     pub emits: u64,
     /// Intermediate tuples: partial bindings at non-final levels for
@@ -189,6 +205,12 @@ struct Plan {
     order: Vec<u32>,
     /// `levels[d]` = indices of atoms containing variable `order[d]`.
     levels: Vec<Vec<usize>>,
+    /// `dense[d]`: level `d`'s participants in the order the word-AND
+    /// path checks their nodes, the trie level with the smallest share
+    /// of dense nodes first, so a level that turns out mixed is usually
+    /// rejected by its first check. Empty when some participant's trie
+    /// level has no dense node, so the level never checks.
+    dense: Vec<Vec<usize>>,
     tries: Vec<TrieIndex>,
 }
 
@@ -212,7 +234,7 @@ fn compile(q: &ConjunctiveQuery, rels: &[MultiRelation]) -> Result<Plan, RelalgE
         });
         tries.push(TrieIndex::build(rel, &cols)?);
     }
-    let levels = order
+    let levels: Vec<Vec<usize>> = order
         .iter()
         .map(|v| {
             q.atoms()
@@ -223,9 +245,30 @@ fn compile(q: &ConjunctiveQuery, rels: &[MultiRelation]) -> Result<Plan, RelalgE
                 .collect()
         })
         .collect();
+    // Each atom opens its trie levels in plan order, one per plan level
+    // it takes part in.
+    let mut opened = vec![0usize; tries.len()];
+    let dense = levels
+        .iter()
+        .map(|parts| {
+            let mut shares = Vec::with_capacity(parts.len());
+            for &a in parts {
+                if let (Some(depth), Some(trie)) = (opened.get_mut(a), tries.get(a)) {
+                    shares.push((trie.dense_share(*depth), a));
+                    *depth += 1;
+                }
+            }
+            if shares.len() < parts.len() || shares.iter().any(|&(share, _)| share == 0.0) {
+                return Vec::new();
+            }
+            shares.sort_by(|x, y| x.0.total_cmp(&y.0));
+            shares.into_iter().map(|(_, a)| a).collect()
+        })
+        .collect();
     Ok(Plan {
         order,
         levels,
+        dense,
         tries,
     })
 }
@@ -235,6 +278,9 @@ fn compile(q: &ConjunctiveQuery, rels: &[MultiRelation]) -> Result<Plan, RelalgE
 struct Engine<'a> {
     plan: &'a Plan,
     iters: Vec<TrieIter<'a>>,
+    /// The bitsets of the all-dense levels being intersected, a stack
+    /// of one slice per level, so recursion allocates nothing.
+    nodes: Vec<DenseNode<'a>>,
     binding: Vec<i64>,
     rows: Vec<Vec<i64>>,
     stats: MultiwayStats,
@@ -246,6 +292,7 @@ impl<'a> Engine<'a> {
         Engine {
             plan,
             iters: plan.tries.iter().map(TrieIter::new).collect(),
+            nodes: Vec::new(),
             binding: vec![0; plan.order.len()],
             rows: Vec::new(),
             stats: MultiwayStats::default(),
@@ -294,13 +341,85 @@ impl<'a> Engine<'a> {
     /// Opens the participating iterators at level `d`, intersects, and
     /// restores the iterators on the way out.
     fn enter(&mut self, d: usize) -> Result<(), RelalgError> {
+        let generic = self.generic;
         self.within_level(d, (), |eng, parts| {
-            if eng.generic {
-                eng.intersect_generic(d, parts)
-            } else {
-                eng.leapfrog(parts, |eng, key| eng.on_match(d, key))
-            }
+            eng.intersect(d, parts, generic, |eng, key| eng.on_match(d, key))
         })
+    }
+
+    /// Intersects the freshly opened participants of level `d`: `on_key`
+    /// gets each common key in ascending order, with every participant
+    /// positioned on it. An all-dense level ANDs bitsets; any other runs
+    /// generic join's probes if `generic`, else leapfrog.
+    fn intersect(
+        &mut self,
+        d: usize,
+        parts: &[usize],
+        generic: bool,
+        mut on_key: impl FnMut(&mut Self, i64) -> Result<(), RelalgError>,
+    ) -> Result<(), RelalgError> {
+        let plan = self.plan;
+        let order = plan.dense.get(d).map(Vec::as_slice).unwrap_or_default();
+        if !order.is_empty() && self.and_dense(order, &mut on_key)? {
+            Ok(())
+        } else if generic {
+            self.intersect_generic(parts, on_key)
+        } else {
+            self.leapfrog(parts, on_key)
+        }
+    }
+
+    /// The word-AND intersection, if every participant's current node is
+    /// dense; returns whether it ran. Word numbers are aligned across
+    /// nodes, so only the overlapping span is ANDed.
+    fn and_dense(
+        &mut self,
+        parts: &[usize],
+        on_key: &mut impl FnMut(&mut Self, i64) -> Result<(), RelalgError>,
+    ) -> Result<bool, RelalgError> {
+        let mark = self.nodes.len();
+        for &a in parts {
+            match self.iters.get(a).and_then(TrieIter::dense) {
+                Some(node) => self.nodes.push(node),
+                None => {
+                    self.nodes.truncate(mark);
+                    return Ok(false);
+                }
+            }
+        }
+        let level = self.nodes.get(mark..).unwrap_or_default();
+        let from = level.iter().map(DenseNode::base).max().unwrap_or(0);
+        let to = level
+            .iter()
+            .map(|n| n.base() + n.words().len() as i64)
+            .min()
+            .unwrap_or(0);
+        for w in from..to {
+            let mut word = u64::MAX;
+            for n in self.nodes.get(mark..).unwrap_or_default() {
+                let i = (w - n.base()) as usize;
+                word &= n.words().get(i).copied().unwrap_or(0);
+            }
+            self.stats.words += 1;
+            while word != 0 {
+                // `w` is a word number, so shifting it back cannot lose
+                // bits of a key.
+                let key = (w << 6) | i64::from(word.trailing_zeros());
+                word &= word - 1;
+                for (i, &a) in parts.iter().enumerate() {
+                    let (Some(node), Some(it)) = (self.nodes.get(mark + i), self.iters.get_mut(a))
+                    else {
+                        return Err(RelalgError::Internal("dense level lost a participant"));
+                    };
+                    if it.place(node, key).is_none() {
+                        return Err(RelalgError::Internal("dense node lost a member key"));
+                    }
+                }
+                on_key(self, key)?;
+            }
+        }
+        self.nodes.truncate(mark);
+        Ok(true)
     }
 
     /// A key matched at level `d` by every participant: emit or recurse.
@@ -373,7 +492,11 @@ impl<'a> Engine<'a> {
 
     /// Generic-join intersection: the participant with the fewest
     /// remaining rows enumerates candidates; the others are probed.
-    fn intersect_generic(&mut self, d: usize, parts: &[usize]) -> Result<(), RelalgError> {
+    fn intersect_generic(
+        &mut self,
+        parts: &[usize],
+        mut on_key: impl FnMut(&mut Self, i64) -> Result<(), RelalgError>,
+    ) -> Result<(), RelalgError> {
         let pivot = parts
             .iter()
             .copied()
@@ -402,7 +525,7 @@ impl<'a> Engine<'a> {
                 }
             }
             if present {
-                self.on_match(d, k)?;
+                on_key(self, k)?;
             }
             self.stats.seeks += 1;
             if self
@@ -439,12 +562,12 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Collects the root-level candidate keys (the leapfrog
-    /// intersection of level-0 participants) without recursing.
+    /// Collects the root-level candidate keys (the intersection of
+    /// level-0 participants, by word AND or leapfrog) without recursing.
     fn root_keys(&mut self) -> Result<Vec<i64>, RelalgError> {
         self.within_level(0, Vec::new(), |eng, parts| {
             let mut keys = Vec::new();
-            eng.leapfrog(parts, |_, key| {
+            eng.intersect(0, parts, false, |_, key| {
                 keys.push(key);
                 Ok(())
             })?;
@@ -495,6 +618,7 @@ pub fn solve(
         ..stats
     };
     jp_obs::counter("wcoj", "seek", stats.seeks);
+    jp_obs::counter("wcoj", "words", stats.words);
     jp_obs::counter("wcoj", "emit", stats.emits);
     jp_obs::counter("wcoj", "intermediate", stats.intermediate);
     Ok(MultiwayOutput {
@@ -532,6 +656,7 @@ fn solve_parallel(
         let (mut chunk_rows, s) = r?;
         rows.append(&mut chunk_rows);
         stats.seeks += s.seeks;
+        stats.words += s.words;
         stats.emits += s.emits;
         stats.intermediate += s.intermediate;
     }

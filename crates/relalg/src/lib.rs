@@ -33,5 +33,5 @@ pub use join_graph::{containment_graph, equijoin_graph, join_graph, spatial_grap
 pub use predicate::JoinPredicate;
 pub use query::{Atom, ConjunctiveQuery};
 pub use relation::Relation;
-pub use trie::{MultiRelation, TrieIndex, TrieIter};
+pub use trie::{DenseNode, MultiRelation, TrieIndex, TrieIter};
 pub use value::{IdSet, Value};

@@ -15,6 +15,19 @@
 //! [`TrieIter::remaining`] reads the row offsets, so it counts rows, not
 //! keys — the generic-join pivot metric. No per-node allocation.
 //!
+//! A node (the keys under one parent key, or the whole root level) has a
+//! second layout when it is dense. Its bitset covers the 64-key words
+//! `first.div_euclid(64) ..= last.div_euclid(64)`, aligned on multiples
+//! of 64 so that any two nodes' words line up, and the node is dense
+//! when that span is strictly fewer words than it has keys. The rule
+//! reads only the data: there is no threshold to tune. A dense node
+//! keeps its sorted keys too, so `seek`/`advance` work on every node;
+//! beside them it stores the words and, per word, the index in the
+//! level's keys of the word's first key. [`TrieIter::dense`] exposes the
+//! bitset and [`TrieIter::place`] positions on a member key in `O(1)`:
+//! that rank plus the popcount of the bits below the key. A level with
+//! no dense node stores nothing extra.
+//!
 //! Everything here is panic-free (in the jp-audit `panic-freedom` scope
 //! at deny): out-of-contract calls return `None` or an
 //! [`RelalgError`], never abort, because the multiway join planner
@@ -121,11 +134,115 @@ fn sorted_distinct_rows(data: &[i64], arity: usize) -> Vec<i64> {
 /// rows. Key `i`'s children are `child[i]..child[i + 1]` of the next
 /// level's keys, and its rows are `rows[i]..rows[i + 1]`. The deepest
 /// level has no children, so its `child` is empty.
+///
+/// Node `n` of a level is the child node of key `n` of the level above
+/// (the root level is node 0). A dense node `n` owns
+/// `words[nodes[n]..nodes[n + 1]]`, whose word `i` has bit
+/// `k.rem_euclid(64)` set for each of its keys `k` in word number
+/// `first.div_euclid(64) + i`, and `rank[j]` is the index in `keys` of
+/// word `j`'s first key (of the next key, for an empty word). A sparse
+/// node's range is empty, and `nodes` is empty when no node of the level
+/// is dense. `dense` counts the dense nodes.
 #[derive(Debug, Clone, Default)]
 struct TrieLevel {
     keys: Vec<i64>,
     child: Vec<u32>,
     rows: Vec<u32>,
+    nodes: Vec<u32>,
+    words: Vec<u64>,
+    rank: Vec<u32>,
+    dense: usize,
+}
+
+impl TrieLevel {
+    /// Pushes the next child offset: `next` (the level below) ends the
+    /// child node of this level's last key so far, if any, and the
+    /// child range of the key pushed next starts where `next`'s keys end.
+    fn push_child(&mut self, next: &mut TrieLevel) {
+        if let (Some(&from), Some(node)) = (self.child.last(), self.keys.len().checked_sub(1)) {
+            next.close_node(node, from as usize);
+        }
+        self.child.push(next.keys.len() as u32);
+    }
+
+    /// Ends node `node`, whose keys are `keys[start..]`, storing its
+    /// bitset if it is dense: its word span is strictly shorter than its
+    /// key count. Word numbers are `k >> 6` (= `k.div_euclid(64)`) and
+    /// bit indexes `k & 63` (= `k.rem_euclid(64)`).
+    fn close_node(&mut self, node: usize, start: usize) {
+        let Some(node_keys) = self.keys.get(start..) else {
+            return;
+        };
+        let (Some(&first), Some(&last)) = (node_keys.first(), node_keys.last()) else {
+            return;
+        };
+        // Both word numbers lie within ±2^57, so the span cannot overflow.
+        let span = ((last >> 6) - (first >> 6)) as usize + 1;
+        let dense = span < node_keys.len();
+        if self.nodes.is_empty() {
+            if !dense {
+                return;
+            }
+            // Every node before this one is sparse: empty word ranges.
+            self.nodes.resize(node + 1, 0);
+        }
+        if dense {
+            self.dense += 1;
+            self.words.reserve(span);
+            self.rank.reserve(span);
+            // Keys ascend, so each word is built in a register and
+            // stored once, with the index of its first key (for an empty
+            // word, of the next key) as its rank.
+            let (mut word_no, mut word, mut rank) = (first >> 6, 0u64, start as u32);
+            for (&k, j) in node_keys.iter().zip(rank..) {
+                while word_no < k >> 6 {
+                    self.words.push(word);
+                    self.rank.push(rank);
+                    (word_no, word, rank) = (word_no + 1, 0, j);
+                }
+                word |= 1 << (k & 63);
+            }
+            self.words.push(word);
+            self.rank.push(rank);
+        }
+        self.nodes.push(self.words.len() as u32);
+    }
+
+    /// The bitset of node `node`, or `None` if that node is sparse.
+    fn dense(&self, node: usize) -> Option<DenseNode<'_>> {
+        let (&from, &to) = (self.nodes.get(node)?, self.nodes.get(node + 1)?);
+        let range = from as usize..to as usize;
+        let rank = self.rank.get(range.clone())?;
+        let first = self.keys.get(*rank.first()? as usize)?;
+        Some(DenseNode {
+            base: first >> 6,
+            words: self.words.get(range)?,
+            rank,
+        })
+    }
+}
+
+/// The bitset of one dense trie node: `words()[i]` has bit
+/// `k.rem_euclid(64)` set for each of the node's keys `k` with
+/// `k.div_euclid(64) == base() + i`. Word numbers of different nodes
+/// line up, so an intersection ANDs the words with equal numbers.
+#[derive(Debug, Clone, Copy)]
+pub struct DenseNode<'a> {
+    base: i64,
+    words: &'a [u64],
+    rank: &'a [u32],
+}
+
+impl<'a> DenseNode<'a> {
+    /// The word number (`key.div_euclid(64)`) of the first word.
+    pub fn base(&self) -> i64 {
+        self.base
+    }
+
+    /// The node's bitset words, first word at [`base`](DenseNode::base).
+    pub fn words(&self) -> &'a [u64] {
+        self.words
+    }
 }
 
 /// A trie view of a [`MultiRelation`] under a column permutation:
@@ -179,8 +296,10 @@ impl TrieIndex {
 
     /// One pass over the sorted, distinct rows of a flat row-major
     /// buffer: a row whose first difference from its predecessor is at
-    /// column `c` starts a new key at every level from `c` down. Callers
-    /// guarantee the row count fits in `u32`.
+    /// column `c` starts a new key at every level from `c` down. A new
+    /// key at a level with children ends its predecessor's child node,
+    /// which is when that node's layout is chosen. Callers guarantee the
+    /// row count fits in `u32`.
     fn from_sorted(data: &[i64], arity: usize) -> Self {
         let rows = data.chunks_exact(arity.max(1));
         let mut levels = vec![TrieLevel::default(); arity];
@@ -196,12 +315,15 @@ impl TrieIndex {
                 p.iter().zip(row).position(|(a, b)| a != b).unwrap_or(arity)
             });
             for d in first..arity {
-                let next = levels.get(d + 1).map(|l| l.keys.len() as u32);
-                let (Some(level), Some(&k)) = (levels.get_mut(d), row.get(d)) else {
+                let Some((level, below)) = levels.get_mut(d..).and_then(|l| l.split_first_mut())
+                else {
                     break;
                 };
-                if let Some(next) = next {
-                    level.child.push(next);
+                let Some(&k) = row.get(d) else {
+                    break;
+                };
+                if let Some(next) = below.first_mut() {
+                    level.push_child(next);
                 }
                 level.keys.push(k);
                 level.rows.push(n);
@@ -209,12 +331,17 @@ impl TrieIndex {
             n += 1;
             prev = Some(row);
         }
+        if let Some(root) = levels.first_mut() {
+            root.close_node(0, 0);
+        }
         for d in 0..arity {
-            let next = levels.get(d + 1).map(|l| l.keys.len() as u32);
-            if let Some(level) = levels.get_mut(d) {
-                level.child.extend(next);
-                level.rows.push(n);
+            let Some((level, below)) = levels.get_mut(d..).and_then(|l| l.split_first_mut()) else {
+                break;
+            };
+            if let Some(next) = below.first_mut() {
+                level.push_child(next);
             }
+            level.rows.push(n);
         }
         TrieIndex {
             rows: n as usize,
@@ -230,6 +357,20 @@ impl TrieIndex {
     /// Trie depth (the relation's arity).
     pub fn depth(&self) -> usize {
         self.levels.len()
+    }
+
+    /// The share of the nodes at trie level `depth` that are stored
+    /// dense (see [`TrieIter::dense`]): 0 when none is, or past the last
+    /// level.
+    pub(crate) fn dense_share(&self, depth: usize) -> f64 {
+        let nodes = match depth.checked_sub(1) {
+            Some(up) => self.levels.get(up).map_or(0, |l| l.keys.len()),
+            None => 1,
+        };
+        match self.levels.get(depth) {
+            Some(level) if nodes > 0 => level.dense as f64 / nodes as f64,
+            _ => 0.0,
+        }
     }
 }
 
@@ -348,6 +489,41 @@ impl<'a> TrieIter<'a> {
         let ahead = c.level.keys.get(c.pos..c.hi)?;
         c.pos += ahead.partition_point(|&k| k < v);
         c.key()
+    }
+
+    /// The bitset of the node the current level walks, or `None` at the
+    /// root or when that node is stored sparse. The node is the child
+    /// node of the parent level's current key (node 0 at the first
+    /// level), so the cursor needs no field of its own for it.
+    pub fn dense(&self) -> Option<DenseNode<'a>> {
+        let c = self.levels.last()?;
+        let node = match self.levels.len().checked_sub(2) {
+            Some(parent) => self.levels.get(parent)?.pos,
+            None => 0,
+        };
+        let level: &'a TrieLevel = c.level;
+        level.dense(node)
+    }
+
+    /// Positions the current level on `key` in `O(1)`: the rank of its
+    /// word in `node`, which must be what [`dense`](TrieIter::dense)
+    /// returned for this level, plus the popcount of the bits below it.
+    /// Lands where a fresh `seek(key)` would. Returns `key`, or `None`
+    /// with the cursor unmoved when `key` is not in the node.
+    pub fn place(&mut self, node: &DenseNode<'_>, key: i64) -> Option<i64> {
+        let i = usize::try_from((key >> 6).checked_sub(node.base)?).ok()?;
+        let (&word, &rank) = (node.words.get(i)?, node.rank.get(i)?);
+        let bit = 1u64 << (key & 63);
+        if word & bit == 0 {
+            return None;
+        }
+        let pos = rank as usize + (word & (bit - 1)).count_ones() as usize;
+        let c = self.levels.last_mut()?;
+        if pos >= c.hi || c.level.keys.get(pos) != Some(&key) {
+            return None;
+        }
+        c.pos = pos;
+        Some(key)
     }
 }
 

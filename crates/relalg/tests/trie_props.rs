@@ -6,8 +6,15 @@
 //! rows, scanned afresh on every call. The model's `remaining` counts
 //! rows, so a cursor that counted distinct keys there — or skipped a key
 //! on `advance` — fails.
+//!
+//! The dense layout is checked the same way, over key domains that make
+//! it appear: small domains, negative keys, keys within 64 of `i64::MIN`
+//! and `i64::MAX`, and clusters beside spread-out keys so one level
+//! mixes dense and sparse nodes. Every node's bitset must be present
+//! exactly when the density rule says, hold exactly the node's keys, and
+//! `place` on any member must land where `seek` lands.
 
-use jp_relalg::{MultiRelation, TrieIndex, TrieIter};
+use jp_relalg::{DenseNode, MultiRelation, TrieIndex, TrieIter};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -20,6 +27,8 @@ enum Op {
     Seek(i64),
     Key,
     Remaining,
+    Dense,
+    Place(i64),
 }
 
 fn op((code, arg): (u8, i64)) -> Op {
@@ -29,8 +38,40 @@ fn op((code, arg): (u8, i64)) -> Op {
         3 | 4 => Op::Advance,
         5 | 6 => Op::Seek(arg),
         7 => Op::Key,
-        _ => Op::Remaining,
+        8 => Op::Remaining,
+        9 => Op::Dense,
+        _ => Op::Place(arg),
     }
+}
+
+/// The bitset the density rule gives a node with these ascending keys:
+/// its first word number and its words, or `None` when the word span
+/// `first.div_euclid(64) ..= last.div_euclid(64)` is not strictly
+/// shorter than the key count.
+fn expected_bitset(keys: &[i64]) -> Option<(i64, Vec<u64>)> {
+    let base = keys.first()?.div_euclid(64);
+    let span = i128::from(keys.last()?.div_euclid(64)) - i128::from(base) + 1;
+    if span >= keys.len() as i128 {
+        return None;
+    }
+    let mut words = vec![0u64; span as usize];
+    for &k in keys {
+        words[(k.div_euclid(64) - base) as usize] |= 1 << k.rem_euclid(64);
+    }
+    Some((base, words))
+}
+
+fn bitset(node: &DenseNode<'_>) -> (i64, Vec<u64>) {
+    (node.base(), node.words().to_vec())
+}
+
+/// The keys a bitset holds, ascending.
+fn members(node: &DenseNode<'_>) -> Vec<i64> {
+    let mut keys = Vec::new();
+    for (w, &word) in (node.base()..).zip(node.words()) {
+        keys.extend((0..64).filter(|b| word >> b & 1 == 1).map(|b| w * 64 + b));
+    }
+    keys
 }
 
 /// The cursor spelled out against the row set: one entry per open
@@ -100,6 +141,24 @@ impl Model {
         self.step(|current, k| k >= current.max(v))
     }
 
+    /// The bitset of the current level's node, by the density rule.
+    fn dense(&self) -> Option<(i64, Vec<u64>)> {
+        let d = self.stack.len().checked_sub(1)?;
+        expected_bitset(&self.node_keys(d))
+    }
+
+    /// Jumps to member `v` of a dense node, backwards too; otherwise
+    /// leaves the cursor where it is.
+    fn place(&mut self, v: i64) -> Option<i64> {
+        let d = self.stack.len().checked_sub(1)?;
+        let keys = self.node_keys(d);
+        expected_bitset(&keys)?;
+        keys.contains(&v).then(|| {
+            self.stack[d] = Some(v);
+            v
+        })
+    }
+
     /// Rows of the current node from the current key on.
     fn remaining(&self) -> usize {
         let (Some(d), Some(current)) = (self.stack.len().checked_sub(1), self.key()) else {
@@ -163,6 +222,11 @@ fn check(arity: usize, tuples: &[(i64, i64, i64)], ops: &[Op]) {
                 Op::Seek(v) => assert_eq!(it.seek(v), model.seek(v), "{ctx}"),
                 Op::Key => assert_eq!(it.key(), model.key(), "{ctx}"),
                 Op::Remaining => assert_eq!(it.remaining(), model.remaining(), "{ctx}"),
+                Op::Dense => assert_eq!(it.dense().map(|n| bitset(&n)), model.dense(), "{ctx}"),
+                Op::Place(v) => {
+                    let got = it.dense().and_then(|n| it.place(&n, v));
+                    assert_eq!(got, model.place(v), "{ctx}");
+                }
             }
             assert_eq!(it.depth(), model.stack.len(), "{ctx}");
             assert_eq!(it.key(), model.key(), "{ctx}");
@@ -243,8 +307,146 @@ fn relations_of_any_arity_sort_and_dedup() {
     }
 }
 
+/// Visits every node below the cursor's freshly opened level (`keys`
+/// are that node's keys) and checks its layout against the density
+/// rule; for a dense node, `place` on each member must land where `seek`
+/// lands — same key, same remaining rows, same first child — and `place`
+/// on a non-member must fail without moving the cursor.
+fn check_node(it: &mut TrieIter<'_>, rows: &BTreeSet<Vec<i64>>, prefix: &mut Vec<i64>) {
+    let d = prefix.len();
+    let under: Vec<&Vec<i64>> = rows.iter().filter(|r| r[..d] == prefix[..]).collect();
+    let keys: Vec<i64> = under
+        .iter()
+        .map(|r| r[d])
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let node = it.dense();
+    assert_eq!(
+        node.map(|n| bitset(&n)),
+        expected_bitset(&keys),
+        "node {prefix:?}"
+    );
+    if let Some(node) = node {
+        assert_eq!(members(&node), keys, "node {prefix:?}");
+        for &k in &keys {
+            let (mut placed, mut sought) = (it.clone(), it.clone());
+            assert_eq!(placed.place(&node, k), Some(k), "node {prefix:?} key {k}");
+            assert_eq!(sought.seek(k), Some(k));
+            assert_eq!(
+                placed.remaining(),
+                sought.remaining(),
+                "node {prefix:?} key {k}"
+            );
+            assert_eq!(placed.open(), sought.open(), "node {prefix:?} key {k}");
+        }
+        for probe in keys
+            .iter()
+            .flat_map(|&k| [k.wrapping_sub(1), k.wrapping_add(1)])
+        {
+            if !keys.contains(&probe) {
+                let mut placed = it.clone();
+                assert_eq!(
+                    placed.place(&node, probe),
+                    None,
+                    "node {prefix:?} probe {probe}"
+                );
+                assert_eq!(placed.key(), it.key());
+            }
+        }
+    }
+    while let Some(k) = it.key() {
+        prefix.push(k);
+        if it.open().is_some() {
+            check_node(it, rows, prefix);
+            it.up();
+        }
+        prefix.pop();
+        it.advance();
+    }
+}
+
+/// Checks every node's layout under every column permutation.
+fn check_layout(arity: usize, tuples: &[(i64, i64, i64)]) {
+    let rows: Vec<Vec<i64>> = tuples
+        .iter()
+        .map(|&(a, b, c)| [a, b, c][..arity].to_vec())
+        .collect();
+    let rel = MultiRelation::new("R", arity, rows.clone()).unwrap();
+    for perm in permutations(arity) {
+        let permuted: BTreeSet<Vec<i64>> = rows
+            .iter()
+            .map(|r| perm.iter().map(|&c| r[c as usize]).collect())
+            .collect();
+        let trie = TrieIndex::build(&rel, &perm).unwrap();
+        let mut it = TrieIter::new(&trie);
+        assert!(it.dense().is_none(), "the root has no level open");
+        if it.open().is_some() {
+            check_node(&mut it, &permuted, &mut Vec::new());
+        }
+    }
+}
+
+/// Maps a raw draw into one of the dense-layout key domains: 0 small,
+/// 1 negatives around zero, 2 the 64 keys at either end of `i64`, 3 a
+/// dense cluster beside keys a thousand apart.
+fn domain_key(domain: u8, raw: i64) -> i64 {
+    match domain {
+        0 => raw % 8,
+        1 => raw % 140 - 70,
+        2 if raw % 2 == 0 => i64::MIN + raw % 64,
+        2 => i64::MAX - raw % 64,
+        _ if raw % 3 == 0 => raw * 1000,
+        _ => raw % 16,
+    }
+}
+
+#[test]
+fn dense_layout_at_the_extremes_of_i64() {
+    // The two ends of i64 in one node: a span of 2^58 words, sparse.
+    check_layout(1, &[(i64::MIN, 0, 0), (i64::MAX, 0, 0)]);
+    // Full words at both ends, and a two-key node inside one word.
+    let low: Vec<_> = (0..64).map(|k| (i64::MIN + k, 0, 0)).collect();
+    let high: Vec<_> = (0..64).map(|k| (i64::MAX - k, 1, 0)).collect();
+    check_layout(1, &low);
+    check_layout(1, &high);
+    check_layout(2, &[low.clone(), high.clone()].concat());
+    check_layout(2, &[(5, i64::MIN, 0), (5, i64::MIN + 1, 0), (6, -1, 0)]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
+
+    #[test]
+    fn dense_nodes_match_their_key_sets(
+        arity in 1usize..4,
+        domain in 0u8..4,
+        raw in proptest::collection::vec((0i64..200, 0i64..200, 0i64..200), 0..48),
+    ) {
+        let tuples: Vec<_> = raw
+            .iter()
+            .map(|&(a, b, c)| (domain_key(domain, a), domain_key(domain, b), domain_key(domain, c)))
+            .collect();
+        check_layout(arity, &tuples);
+    }
+
+    #[test]
+    fn dense_cursor_matches_the_row_set_model(
+        arity in 1usize..4,
+        domain in 0u8..4,
+        raw in proptest::collection::vec((0i64..200, 0i64..200, 0i64..200), 0..32),
+        ops in proptest::collection::vec((0u8..11, 0i64..200), 0..80),
+    ) {
+        let tuples: Vec<_> = raw
+            .iter()
+            .map(|&(a, b, c)| (domain_key(domain, a), domain_key(domain, b), domain_key(domain, c)))
+            .collect();
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .map(|(code, arg)| op((code, domain_key(domain, arg))))
+            .collect();
+        check(arity, &tuples, &ops);
+    }
 
     #[test]
     fn cursor_matches_the_row_set_model(

@@ -8,7 +8,9 @@
 //! relations, all-duplicate keys, and single-tuple inputs. On the
 //! cyclic queries (triangle, 4-clique, bowtie) LFTJ, generic join, and
 //! the binary cascade must agree byte-for-byte at 1/2/8 threads, and
-//! the output never exceeds the AGM fractional-cover bound.
+//! the output never exceeds the AGM fractional-cover bound. That holds
+//! too on instances whose trie nodes are dense, where levels intersect
+//! by word AND, and on one whose levels mix dense and sparse nodes.
 
 use jp_relalg::{
     algorithms, multiway_solve, query_join_graph, workload, Atom, ConjunctiveQuery, MultiRelation,
@@ -106,6 +108,83 @@ fn skewed_triangle_thread_and_algorithm_parity() {
             assert_eq!(out.order, base.order);
         }
     }
+}
+
+/// Checks that every engine returns the cascade's rows at 1/2/8
+/// threads, that LFTJ and generic join report the same counters at one
+/// thread, and that the word-AND path ran.
+fn check_dense_parity(q: &ConjunctiveQuery, rels: &[MultiRelation]) {
+    let base = multiway_solve(q, rels, MultiwayAlgo::Cascade, 1).unwrap();
+    assert!(base.rows.len() as f64 <= base.agm_bound, "{}", q.name());
+    let lftj = multiway_solve(q, rels, MultiwayAlgo::Lftj, 1).unwrap();
+    let generic = multiway_solve(q, rels, MultiwayAlgo::Generic, 1).unwrap();
+    assert!(lftj.stats.words > 0, "{}: no level was ANDed", q.name());
+    assert_eq!(lftj.stats.words, generic.stats.words, "{}", q.name());
+    assert_eq!(lftj.stats.intermediate, generic.stats.intermediate);
+    for threads in [1, 2, 8] {
+        for algo in [MultiwayAlgo::Lftj, MultiwayAlgo::Generic] {
+            let out = multiway_solve(q, rels, algo, threads).unwrap();
+            assert_eq!(
+                out.rows,
+                base.rows,
+                "{} {} at {threads}",
+                q.name(),
+                algo.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn dense_instances_agree_at_all_thread_counts() {
+    // About 8 edges per id over 20 ids (one bitset word per node) and 4
+    // per id over 125 ids (two words per node, as in the benchmark).
+    for (n, deg) in [(160, 8), (500, 4)] {
+        for seed in 0..2 {
+            let (q, rels) = workload::triangle_random(n, deg, seed);
+            check_dense_parity(&q, &rels);
+            let (q, rels) = workload::clique4_random(n, deg, seed);
+            check_dense_parity(&q, &rels);
+            let (q, rels) = workload::bowtie_random(n, deg, seed);
+            check_dense_parity(&q, &rels);
+        }
+    }
+}
+
+#[test]
+fn mixed_layout_instance_agrees_at_all_thread_counts() {
+    // A dense cluster of ids around zero, linked among themselves, and
+    // ids about a thousand apart, negatives included, linked to both:
+    // roots and spread ids' nodes are sparse and cluster ids' nodes
+    // dense, so some levels AND words and the mixed ones seek.
+    let mut state = 7u64;
+    let mut draw = |m: i64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as i64 % m
+    };
+    let mut edges: Vec<Vec<i64>> = Vec::new();
+    for _ in 0..200 {
+        edges.push(vec![draw(24) - 12, draw(24) - 12]);
+    }
+    for _ in 0..100 {
+        let spread = (draw(40) - 20) * 1009;
+        let other = if draw(2) == 0 {
+            draw(24) - 12
+        } else {
+            (draw(40) - 20) * 1009
+        };
+        edges.push(vec![spread, other]);
+    }
+    let rel = |name: &str| MultiRelation::new(name, 2, edges.clone()).unwrap();
+    let tri = vec![rel("R"), rel("S"), rel("T")];
+    check_dense_parity(&ConjunctiveQuery::triangle(), &tri);
+    let clique: Vec<_> = ["E01", "E02", "E03", "E12", "E13", "E23"]
+        .iter()
+        .map(|name| rel(name))
+        .collect();
+    check_dense_parity(&ConjunctiveQuery::four_clique(), &clique);
 }
 
 proptest! {
