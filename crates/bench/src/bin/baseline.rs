@@ -311,8 +311,8 @@ fn main() {
     // The serving axis: an in-process jp-serve instance under the
     // deterministic loadgen mix — the same workload CI's serve-check
     // job replays over a real socket. One solver slot means one solve
-    // at a time, so the memo/solver counters and the end-of-run
-    // `serve.*` totals are exact invariants of the workload; the `par.*`
+    // at a time, so the memo/solver counters and the `serve.*` outcome
+    // counters and totals are exact invariants of the workload; the `par.*`
     // span families are stripped because they are scheduling, not work
     // done. The `serve.request` span values stay: they are the
     // serve-latency axis.
@@ -345,11 +345,11 @@ fn main() {
         assert_eq!(checked.mismatches, 0, "serve answers diverged: {checked:?}");
         assert_eq!(checked.errors, 0, "serve errored under load: {checked:?}");
         // Then the captured pass runs with verification off so the
-        // loadgen side executes no solver at all: jp-par workers adopt
-        // into whatever scope is installed, so a verification
-        // precompute inside the capture would leak loadgen-side events
-        // into what must be a server-only baseline (CI's serve-check
-        // runs the loadgen as a separate process).
+        // loadgen side executes no solver at all. The capture holds only
+        // the server's work either way: the server adopts the ticket
+        // taken at bind, inside the capture, while the loadgen thread
+        // adopts none (CI's serve-check runs the loadgen as a separate
+        // process).
         let ((loadgen, served), wall_micros, mut stats) =
             measure(trace_dir, "serve_loadgen_serve_t1", || serve_round(false));
         assert_eq!(loadgen.errors, 0, "serve errored under load: {loadgen:?}");

@@ -1,17 +1,13 @@
-//! CI gate for the jp-pulse live metrics runtime.
+//! CI gate for the live metrics path (the jp-obs live registry and the
+//! jp-pulse sampler).
 //!
-//! Runs one traced bench case (the `spider_10` portfolio at 4 workers)
-//! three ways and checks the tentpole claims of the pulse design:
+//! Runs one bench case (the `spider_10` memo solve at 4 workers) under a
+//! live capture scope with a 10 ms sampler attached and checks:
 //!
-//! 1. **Disabled-path overhead**: with no pulse scope active every
-//!    `jp_pulse::…` call is a single relaxed atomic load. The median
-//!    wall time of the instrumented-but-disabled run must stay within
-//!    5% of the baseline median (plus a small absolute allowance so
-//!    micro-second-scale jitter cannot flap the gate).
-//! 2. **Liveness**: with a 10 ms sampler attached, at least one
-//!    snapshot is written, every line parses with the damage-tolerant
-//!    trace reader, and the final snapshot's memo counters agree
-//!    exactly with the jp-obs aggregation of the same run.
+//! 1. **Liveness**: at least one snapshot is written and every line
+//!    parses with the damage-tolerant trace reader.
+//! 2. **Write errors**: the sampler reports none, and the final snapshot
+//!    carries a `pulse.write_errors` line at zero.
 //! 3. **Exposition**: the final snapshot renders to Prometheus-style
 //!    exposition text, written to `pulse_check.prom` for CI to upload.
 //!
@@ -21,32 +17,15 @@
 //!
 //! Exits non-zero (with a diagnostic on stderr) on any failed check.
 
-use jp_bench::capture;
 use jp_graph::generators;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Attribute allocations to pulse memory scopes so the sampled
 /// snapshots carry the `mem.*` axis.
 #[cfg(feature = "alloc-track")]
 #[global_allocator]
 static ALLOC: jp_pulse::TrackingAlloc = jp_pulse::TrackingAlloc;
-
-/// Measurement repetitions per configuration; medians gate, not means,
-/// so one scheduler hiccup cannot fail CI.
-const REPS: usize = 9;
-
-/// Allowed relative overhead of the disabled pulse path.
-const MAX_OVERHEAD: f64 = 0.05;
-
-/// Absolute allowance (µs) under which overhead is never flagged: the
-/// case runs in milliseconds, so µs-scale jitter is pure noise.
-const ABS_ALLOWANCE_MICROS: u64 = 500;
-
-fn median(mut xs: Vec<u64>) -> u64 {
-    xs.sort_unstable();
-    xs.get(xs.len() / 2).copied().unwrap_or(0)
-}
 
 fn fail(msg: &str) -> ! {
     eprintln!("pulse_check: FAIL: {msg}");
@@ -60,57 +39,15 @@ fn main() {
         .unwrap_or_else(|| PathBuf::from("figures"));
     std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| fail(&format!("mkdir {out_dir:?}: {e}")));
     let g = generators::spider(10);
-    let run_case = || {
-        let memo = jp_pebble::memo::Memo::new();
-        jp_pebble::memo::solve_with_memo(&g, &memo, 4).map(|s| s.effective_cost(&g))
-    };
-
-    // Warm up allocators, thread pools, and code paths once.
-    run_case().unwrap_or_else(|e| fail(&format!("warmup solve: {e}")));
-
-    // A: baseline — no pulse scope anywhere near the run.
-    let a: Vec<u64> = (0..REPS)
-        .map(|_| {
-            let t0 = Instant::now();
-            run_case().unwrap_or_else(|e| fail(&format!("baseline solve: {e}")));
-            t0.elapsed().as_micros() as u64
-        })
-        .collect();
-
-    // B: disabled path — same binary, still no scope active; the pulse
-    // call sites are compiled in and each costs one relaxed load.
-    let b: Vec<u64> = (0..REPS)
-        .map(|_| {
-            let t0 = Instant::now();
-            run_case().unwrap_or_else(|e| fail(&format!("disabled-path solve: {e}")));
-            t0.elapsed().as_micros() as u64
-        })
-        .collect();
-
-    let (ma, mb) = (median(a), median(b));
-    let overhead = mb.saturating_sub(ma);
-    let rel = overhead as f64 / ma.max(1) as f64;
-    println!(
-        "pulse_check: disabled-path medians: baseline {ma} µs, instrumented {mb} µs \
-         (overhead {overhead} µs, {:.1}%)",
-        rel * 100.0
-    );
-    if rel > MAX_OVERHEAD && overhead > ABS_ALLOWANCE_MICROS {
-        fail(&format!(
-            "disabled pulse path costs {:.1}% (> {:.0}% and > {ABS_ALLOWANCE_MICROS} µs)",
-            rel * 100.0,
-            MAX_OVERHEAD * 100.0
-        ));
-    }
-
-    // C: enabled — 10 ms sampler attached; the obs capture runs inside
-    // so the final pulse snapshot and the stats snapshot see one run.
     let pulse_path = out_dir.join("pulse_check.jsonl");
+    let scope = jp_obs::ScopedSink::open(None, true);
     let sampler = jp_pulse::Sampler::start(&pulse_path, Duration::from_millis(10))
         .unwrap_or_else(|e| fail(&format!("starting sampler: {e}")));
-    let (cost, _wall, stats) = capture(run_case);
-    cost.unwrap_or_else(|e| fail(&format!("sampled solve: {e}")));
+    let memo = jp_pebble::memo::Memo::new();
+    jp_pebble::memo::solve_with_memo(&g, &memo, 4)
+        .unwrap_or_else(|e| fail(&format!("sampled solve: {e}")));
     let report = sampler.stop();
+    drop(scope);
     if report.snapshots == 0 {
         fail("sampler wrote no snapshots");
     }
@@ -140,23 +77,6 @@ fn main() {
         last.at_micros,
         last.samples.len()
     );
-    // The live registry and the jp-obs event aggregation must agree
-    // exactly on the memo counters of the sampled run.
-    for (pulse_key, obs_key) in [
-        ("memo.recognized", "memo.recognized"),
-        ("memo.hit", "memo.hit"),
-        ("memo.miss", "memo.miss"),
-        ("memo.insert", "memo.insert"),
-    ] {
-        let live = last.samples.get(pulse_key).copied().unwrap_or(0);
-        let obs = stats.counters.get(obs_key).copied().unwrap_or(0);
-        if live != obs {
-            fail(&format!(
-                "{pulse_key}: live registry says {live}, jp-obs aggregation says {obs}"
-            ));
-        }
-    }
-
     // Every snapshot publishes the sampler's own write-failure tally;
     // a healthy CI run must end at zero.
     match last.samples.get("pulse.write_errors").copied() {

@@ -73,7 +73,7 @@ pub struct RunMetrics {
 /// the wall time in microseconds, and the aggregated event snapshot.
 ///
 /// The scoped sink is thread-filtered: only events from this thread and
-/// from workers that explicitly joined the scope (`jp_obs::adopt`, which
+/// from threads that adopted its ticket (`jp_obs::adopt`, which
 /// the `jp-par` runtime does for its workers) are aggregated, so
 /// concurrent runs on other threads cannot cross-talk into the snapshot.
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, u64, StatsSnapshot) {

@@ -245,6 +245,29 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
         return Err(CliError::Usage("no command given".into()));
     };
 
+    // One capture scope for the duration of the command: the requested
+    // sinks, and the live registry when a pulse file was asked for. The
+    // scope serializes concurrent `run` calls that both request
+    // instrumentation (the sink and registry are process-wide); runs
+    // with no option never touch it.
+    let stats_sink = stats.then(|| std::sync::Arc::new(jp_obs::StatsSink::new()));
+    let mut sinks: Vec<std::sync::Arc<dyn jp_obs::Sink>> = Vec::new();
+    if let Some(path) = &trace {
+        let jsonl = jp_obs::JsonlSink::to_file(path)
+            .map_err(|e| CliError::Runtime(format!("opening trace file {path}: {e}")))?;
+        sinks.push(std::sync::Arc::new(jsonl));
+    }
+    if let Some(s) = &stats_sink {
+        sinks.push(s.clone());
+    }
+    let sink: Option<std::sync::Arc<dyn jp_obs::Sink>> = match sinks.len() {
+        0 => None,
+        1 => sinks.pop(),
+        _ => Some(std::sync::Arc::new(jp_obs::FanoutSink::new(sinks))),
+    };
+    let scope = (sink.is_some() || pulse.is_some())
+        .then(|| jp_obs::ScopedSink::open(sink, pulse.is_some()));
+
     // The pulse sampler runs for the duration of the command and stops
     // (writing one final snapshot) before the report below, so the last
     // snapshot always carries the run's final counter values.
@@ -257,31 +280,6 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
             .map_err(|e| CliError::Runtime(format!("opening pulse file {path}: {e}")))?,
         ),
         None => None,
-    };
-
-    // Install the requested sinks for the duration of the command. The
-    // scoped guard serializes concurrent `run` calls that both request
-    // instrumentation (the sink registry is process-wide); runs with
-    // neither option never touch it.
-    let stats_sink = stats.then(|| std::sync::Arc::new(jp_obs::StatsSink::new()));
-    let _scope = if trace.is_some() || stats {
-        let mut sinks: Vec<std::sync::Arc<dyn jp_obs::Sink>> = Vec::new();
-        if let Some(path) = &trace {
-            let jsonl = jp_obs::JsonlSink::to_file(path)
-                .map_err(|e| CliError::Runtime(format!("opening trace file {path}: {e}")))?;
-            sinks.push(std::sync::Arc::new(jsonl));
-        }
-        if let Some(s) = &stats_sink {
-            sinks.push(s.clone());
-        }
-        let sink: std::sync::Arc<dyn jp_obs::Sink> = if sinks.len() == 1 {
-            sinks.pop().expect("one sink")
-        } else {
-            std::sync::Arc::new(jp_obs::FanoutSink::new(sinks))
-        };
-        Some(jp_obs::ScopedSink::install(sink))
-    } else {
-        None
     };
 
     let result = match cmd.as_str() {
@@ -305,9 +303,9 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
     };
 
-    drop(_scope); // flush the trace file before reporting
-    if let Some(sampler) = sampler {
-        let report = sampler.stop();
+    let sampled = sampler.map(jp_pulse::Sampler::stop);
+    drop(scope); // flush the trace file before reporting
+    if let Some(report) = sampled {
         if result.is_ok() {
             if let Some(path) = &pulse {
                 writeln!(
@@ -344,16 +342,6 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
 mod tests {
     use super::*;
 
-    /// Serializes this module's tests. jp-par workers and server
-    /// threads join whatever jp-obs/jp-pulse scope is active when they
-    /// start, so a test running beside another test's `--trace`,
-    /// `--stats` or `--pulse-file` capture would feed its events and
-    /// live metrics into that capture.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn run_str(args: &[&str]) -> Result<String, CliError> {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         let mut buf = Vec::new();
@@ -363,26 +351,22 @@ mod tests {
 
     #[test]
     fn help_prints_usage() {
-        let _serial = serial();
         let out = run_str(&["help"]).unwrap();
         assert!(out.contains("jp generate"));
     }
 
     #[test]
     fn no_command_is_usage_error() {
-        let _serial = serial();
         assert!(matches!(run_str(&[]), Err(CliError::Usage(_))));
     }
 
     #[test]
     fn unknown_command_is_usage_error() {
-        let _serial = serial();
         assert!(matches!(run_str(&["frobnicate"]), Err(CliError::Usage(_))));
     }
 
     #[test]
     fn generate_info_pebble_pipeline() {
-        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.json");
@@ -413,7 +397,6 @@ mod tests {
 
     #[test]
     fn pebble_equijoin_on_wrong_graph_is_runtime_error() {
-        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test2-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.json");
@@ -426,7 +409,6 @@ mod tests {
 
     #[test]
     fn replay_and_fragment_commands() {
-        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test3-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let gp = dir.join("g.json");
@@ -460,7 +442,6 @@ mod tests {
 
     #[test]
     fn serve_and_loadgen_round_trip() {
-        let _serial = serial();
         // grab a free loopback port, then hand it to `jp serve`
         let addr = {
             let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -500,7 +481,6 @@ mod tests {
 
     #[test]
     fn explain_annotates_the_plan_with_observed_counters() {
-        let _serial = serial();
         let out = run_str(&[
             "explain", "triangle", "--n", "120", "--deg", "4", "--seed", "7",
         ])
@@ -559,7 +539,6 @@ mod tests {
 
     #[test]
     fn trace_request_reconstructs_a_traced_serve_run() {
-        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-xray-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("serve.jsonl");
@@ -687,7 +666,6 @@ mod tests {
 
     #[test]
     fn trace_request_min_complete_gate_fails_on_orphaned_requests() {
-        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-xray2-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.jsonl");
@@ -742,7 +720,6 @@ mod tests {
 
     #[test]
     fn loadgen_zero_clients_is_a_usage_error() {
-        let _serial = serial();
         for args in [
             &["loadgen", "--clients", "0"][..],
             &["loadgen", "--requests", "0"][..],
@@ -758,7 +735,6 @@ mod tests {
 
     #[test]
     fn bb_budget_exhaustion_is_reported_cleanly() {
-        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test4-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("g.json");
@@ -795,7 +771,6 @@ mod tests {
 
     #[test]
     fn pebble_portfolio_with_threads() {
-        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test6-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("g.json");
@@ -839,7 +814,6 @@ mod tests {
 
     #[test]
     fn trace_writes_jsonl_and_stats_prints_summary() {
-        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test5-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let g = dir.join("g.json");
@@ -908,7 +882,6 @@ mod tests {
 
     #[test]
     fn trace_subcommands_consume_a_recorded_portfolio_run() {
-        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test8-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let g = dir.join("g.json");
@@ -970,7 +943,6 @@ mod tests {
 
     #[test]
     fn duplicate_trace_is_usage_error() {
-        let _serial = serial();
         let err = run_str(&["help", "--trace", "a", "--trace", "b"]).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
         let err = run_str(&["help", "--trace"]).unwrap_err();
@@ -979,7 +951,6 @@ mod tests {
 
     #[test]
     fn pebble_memo_persists_and_reloads() {
-        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-test7-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let g = dir.join("g.json");
@@ -1047,7 +1018,6 @@ mod tests {
 
     #[test]
     fn join_pebble_with_memo_reports_cache_stats() {
-        let _serial = serial();
         let out = run_str(&[
             "join",
             "--workload",
@@ -1068,7 +1038,6 @@ mod tests {
 
     #[test]
     fn join_workloads_run() {
-        let _serial = serial();
         let out = run_str(&["join", "--workload", "zipf", "--n", "200"]).unwrap();
         assert!(out.contains("hash_join"));
         let out = run_str(&["join", "--workload", "sets", "--n", "80"]).unwrap();
@@ -1145,7 +1114,6 @@ mod tests {
 
     #[test]
     fn portfolio_on_one_thread_probes_the_memo() {
-        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-pulse3-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let g = dir.join("g.json");
@@ -1163,7 +1131,6 @@ mod tests {
 
     #[test]
     fn portfolio_on_four_threads_probes_the_memo() {
-        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-pulse4-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let g = dir.join("g.json");
@@ -1181,7 +1148,6 @@ mod tests {
 
     #[test]
     fn pulse_snapshot_matches_final_memo_counters_and_top_renders_workers() {
-        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-pulse-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let g = dir.join("g.json");
@@ -1232,8 +1198,52 @@ mod tests {
     }
 
     #[test]
+    fn pulse_snapshot_counters_equal_the_stats_aggregation() {
+        let dir = std::env::temp_dir().join(format!("jp-cli-pulse6-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = dir.join("g.json");
+        let pf = dir.join("pulse.jsonl");
+        let gp = g.to_str().unwrap();
+        run_str(&["generate", "random", "8", "8", "0.25", "3", "--out", gp]).unwrap();
+        let out = run_str(&[
+            "pebble",
+            gp,
+            "--algo",
+            "auto",
+            "--threads",
+            "4",
+            "--memo",
+            "true",
+            "--pulse-file",
+            pf.to_str().unwrap(),
+            "--stats",
+        ])
+        .unwrap();
+        // The `--stats` counter block: `  component.name  value` lines.
+        let stats: Vec<(String, u64)> = out
+            .split("counters:\n")
+            .nth(1)
+            .expect("a counters block")
+            .lines()
+            .take_while(|l| l.starts_with("  "))
+            .map(|l| {
+                let mut parts = l.split_whitespace();
+                let key = parts.next().unwrap().to_string();
+                (key, parts.next().unwrap().parse().unwrap())
+            })
+            .collect();
+        assert!(stats.iter().any(|(k, _)| k.starts_with("par.")), "{out}");
+        let (events, _) = jp_trace::read_trace(&pf).unwrap();
+        let snaps = jp_trace::pulse_snapshots(&events);
+        let live = &snaps.last().expect("a final snapshot").samples;
+        for (key, value) in &stats {
+            assert_eq!(live.get(key), Some(value), "{key}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn bare_pulse_flag_defaults_to_pulse_jsonl_and_keeps_positionals() {
-        let _serial = serial();
         // --pulse is value-less: the graph path after it must survive as
         // a positional argument, and samples land in ./pulse.jsonl.
         let dir = std::env::temp_dir().join(format!("jp-cli-pulse2-{}", std::process::id()));
@@ -1259,14 +1269,13 @@ mod tests {
 
     #[test]
     fn pulse_subcommand_usage_and_missing_snapshots() {
-        let _serial = serial();
         let err = run_str(&["pulse"]).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
         let err = run_str(&["pulse", "flop", "x.jsonl"]).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
 
         // a trace with events but no pulse markers is a runtime error
-        let dir = std::env::temp_dir().join(format!("jp-cli-pulse3-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("jp-cli-pulse5-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let t = dir.join("t.jsonl");
         let g = dir.join("g.json");
@@ -1290,7 +1299,6 @@ mod tests {
 
     #[test]
     fn trace_summary_on_empty_or_corrupt_file_is_classified_error() {
-        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("jp-cli-empty-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
 

@@ -84,7 +84,6 @@ pub(crate) fn min_jump_tour_racing(
     let cells = dp.cells() as u64;
     jp_obs::counter("exact", "dp_states", cells);
     jp_obs::counter("exact", "dp_bytes", 4 * cells);
-    jp_pulse::counter_add("exact.dp_states", cells);
     jp_obs::counter("exact", "subset_iterations", dp.expanded());
     // with no jump cap the last layer reaches the full mask (any vertex
     // order is a path with n − 1 jumps), so its lowest end has a path

@@ -173,7 +173,7 @@ impl SharedSearch {
             self.improvements.fetch_add(1, Ordering::Relaxed);
             // Live incumbent after the guard is gone: `jp pulse top`
             // shows the bound tightening while the search runs.
-            jp_pulse::gauge_set("bb.incumbent_jumps", jumps as u64);
+            jp_obs::gauge("bb", "incumbent_jumps", jumps as u64);
         }
     }
 }
@@ -417,7 +417,6 @@ pub fn bb_min_jump_tour_par(ones: &Graph, budget: u64, threads: usize) -> BbOutc
                 // race:order(one-way latch, definitively read only after the run_tasks join)
                 shared_ref.truncated.store(true, Ordering::Relaxed);
             }
-            jp_pulse::counter_add("bb.nodes_expanded", searcher.nodes);
             TaskEffort {
                 nodes: searcher.nodes,
                 incumbent_prunes: searcher.incumbent_prunes,

@@ -193,31 +193,14 @@ impl Memo {
     fn bump(&self, counter: &AtomicU64, name: &str) {
         // race:order(monotonic statistic; cache answers are protected by the shard locks, not by this counter)
         counter.fetch_add(1, Ordering::Relaxed);
-        if jp_obs::enabled() {
-            jp_obs::counter("memo", name, 1);
-        }
-        if jp_pulse::enabled() {
-            // Static names so the live path never allocates; the pulse
-            // counters mirror the jp-obs ones 1:1, which is what the
-            // sampler's final snapshot is checked against end-to-end.
-            let pulse_name = match name {
-                "recognized" => "memo.recognized",
-                "hit" => "memo.hit",
-                "miss" => "memo.miss",
-                "insert" => "memo.insert",
-                "reject" => "memo.reject",
-                "poisoned" => "memo.poisoned",
-                _ => "memo.other",
-            };
-            jp_pulse::counter_add(pulse_name, 1);
-        }
+        jp_obs::counter("memo", name, 1);
     }
 
     /// Publishes live occupancy gauges: total cached entries and the
     /// imbalance of the fullest shard relative to a perfectly uniform
     /// spread (100 = uniform; 1600 = everything in one of 16 shards).
     fn publish_occupancy(&self) {
-        if !jp_pulse::enabled() {
+        if !jp_obs::enabled() {
             return;
         }
         let mut total = 0usize;
@@ -227,9 +210,9 @@ impl Memo {
             total += len;
             largest = largest.max(len);
         }
-        jp_pulse::gauge_set("memo.occupancy", total as u64);
+        jp_obs::gauge("memo", "occupancy", total as u64);
         if let Some(imbalance) = (largest * SHARDS * 100).checked_div(total) {
-            jp_pulse::gauge_set("memo.shard_imbalance_pct", imbalance as u64);
+            jp_obs::gauge("memo", "shard_imbalance_pct", imbalance as u64);
         }
     }
 

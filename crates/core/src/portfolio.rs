@@ -102,8 +102,9 @@ impl Race {
         // race:order(fetch_min is monotone and the winning scheme is re-checked under the best lock below)
         self.incumbent.fetch_min(cost, Ordering::Relaxed);
         // Live incumbent: the race's current best effective cost.
-        jp_pulse::gauge_set(
-            "portfolio.incumbent_cost",
+        jp_obs::gauge(
+            "portfolio",
+            "incumbent_cost",
             // race:order(live gauge snapshot of a monotone value)
             self.incumbent.load(Ordering::Relaxed) as u64,
         );

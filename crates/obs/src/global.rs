@@ -1,56 +1,98 @@
-//! The process-wide sink and the emission API.
+//! The process-wide routes, the capture scope and tickets, and the
+//! emission API.
 
 use crate::event::Event;
+use crate::live::{self, Update};
 use crate::sink::Sink;
-use std::cell::RefCell;
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
-/// Fast-path gate: a single relaxed load decides whether any event is
-/// constructed at all.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// [`GATE`] bit: a sink or a tap is installed, so events are built.
+const EVENTS: u8 = 1;
+/// [`GATE`] bit: a live scope is open, so the live registry is fed.
+const LIVE: u8 = 2;
 
-/// The installed sink, if any.
-static SINK: RwLock<Option<Arc<dyn Sink>>> = RwLock::new(None);
+/// Fast-path gate: one relaxed load decides whether a call site does
+/// anything at all. Re-derived from [`ROUTES`] under its write lock.
+static GATE: AtomicU8 = AtomicU8::new(0);
 
-/// Secondary, process-wide event taps. Unlike [`SINK`] (which scoped
-/// captures swap in and out), a tap sees every dispatched event for as
-/// long as it is installed — it is how jp-serve's tail sampler buffers
-/// per-request spans without disturbing whatever trace capture the CLI
-/// set up. Taps stack: each [`set_tap`] adds one and removes exactly
-/// that one on guard drop, so a server's tail sampler and an
-/// `jp explain` counter capture can coexist in one process without
-/// clobbering each other.
-static TAP: RwLock<Vec<(u64, Arc<dyn Sink>)>> = RwLock::new(Vec::new());
+/// Where events go.
+struct Routes {
+    /// The primary sink ([`set_sink`] or a [`ScopedSink`]'s).
+    sink: Option<Arc<dyn Sink>>,
+    /// Secondary destinations ([`set_tap`]), each with its capture id.
+    taps: Vec<(u64, Arc<dyn Sink>)>,
+    /// Whether a live [`ScopedSink`] is open.
+    live: bool,
+    /// The instant the current sink was installed; `start` offsets are
+    /// measured from here. `None` while no sink or tap is installed.
+    epoch: Option<Instant>,
+}
 
-/// Hands each installed tap a token so [`TapGuard::drop`] removes its
-/// own entry even when guards are dropped out of install order.
-static NEXT_TAP_TOKEN: AtomicU64 = AtomicU64::new(1);
+impl Routes {
+    /// Re-derives [`GATE`]. Called with the write lock held, so two
+    /// installers can never leave the gate disagreeing with the routes.
+    fn publish(&mut self) {
+        let events = self.sink.is_some() || !self.taps.is_empty();
+        if !events {
+            self.epoch = None;
+        }
+        let gate = if events { EVENTS } else { 0 } | if self.live { LIVE } else { 0 };
+        // race:order(gate flag only; the routes it summarizes are read under the ROUTES lock)
+        GATE.store(gate, Ordering::Relaxed);
+    }
+
+    /// Microseconds since the current sink was installed (0 with none).
+    fn micros(&self) -> u64 {
+        self.epoch.map_or(0, |t0| {
+            t0.elapsed().as_micros().min(u64::MAX as u128) as u64
+        })
+    }
+}
+
+static ROUTES: RwLock<Routes> = RwLock::new(Routes {
+    sink: None,
+    taps: Vec::new(),
+    live: false,
+    epoch: None,
+});
+
+fn read_routes() -> RwLockReadGuard<'static, Routes> {
+    ROUTES.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn write_routes() -> RwLockWriteGuard<'static, Routes> {
+    ROUTES.write().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Capture id of the open [`ScopedSink`]; 0 while none is open, which
+/// lets every thread through — a plain [`set_sink`] observes them all.
+/// Written under the [`ROUTES`] write lock.
+static ACTIVE_SCOPE: AtomicU64 = AtomicU64::new(0);
+
+/// Source of capture ids for scopes and taps; 0 is never handed out.
+static NEXT_CAPTURE: AtomicU64 = AtomicU64::new(1);
+
+/// Serializes [`ScopedSink`] holders so concurrent tests don't fight
+/// over the process-wide sink and registry.
+static SCOPE: Mutex<()> = Mutex::new(());
 
 /// Process-wide monotone event sequence.
 static SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// The instant the current sink was installed; `start` offsets in
-/// emitted events are measured from here. `None` while no sink is up.
-static EPOCH: Mutex<Option<Instant>> = Mutex::new(None);
-
-/// Serializes [`ScopedSink`] holders so concurrent tests don't fight
-/// over the process-wide sink.
-static SCOPE: Mutex<()> = Mutex::new(());
-
-/// While a [`ScopedSink`] is active: the thread ids allowed to emit into
-/// it (the installer plus every [`adopt`]ed worker). `None` = no scope
-/// active, no filtering — a plain [`set_sink`] observes every thread.
-static SCOPE_MEMBERS: Mutex<Option<BTreeSet<u64>>> = Mutex::new(None);
 
 /// Source of process-local thread ids (first thread gets 1, so the `0`
 /// placeholder in [`Event`] builders never collides with a real id).
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
+    // race:order(id uniqueness only — no ordering dependency)
     static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
+
+    /// The captures this thread belongs to; see [`Ticket`].
+    static TICKET: Cell<Ticket> = const { Cell::new(Ticket::NONE) };
 
     /// The stack of open span `seq`s on this thread (innermost last).
     /// [`link_parent`] pushes a foreign span's seq so work handed to a
@@ -58,9 +100,100 @@ thread_local! {
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 
     /// The serve-request id everything this thread emits is stamped
-    /// with, if any. Installed via [`with_request`] when a dispatcher
-    /// hands a request's job to a worker.
-    static CURRENT_REQUEST: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+    /// with, if any. Installed via [`with_request`] when a handler
+    /// starts on a request.
+    static CURRENT_REQUEST: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// How many captures one thread can belong to at once.
+const MAX_CAPTURES: usize = 4;
+
+/// The captures a thread belongs to: the [`ScopedSink`]s and taps it
+/// installed itself or was handed.
+///
+/// A thread that starts other threads takes its own ticket with
+/// [`ticket`] and each thread it starts [`adopt`]s it, so they join
+/// exactly the captures their spawner was in. A thread that neither
+/// installed nor adopted anything belongs to none: an open
+/// [`ScopedSink`] and every tap drop its events. Membership is a thread-local read, so the emit path takes
+/// no global lock to test it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ticket {
+    ids: [u64; MAX_CAPTURES],
+}
+
+impl Ticket {
+    const NONE: Ticket = Ticket {
+        ids: [0; MAX_CAPTURES],
+    };
+
+    fn holds(&self, id: u64) -> bool {
+        id != 0 && self.ids.contains(&id)
+    }
+
+    /// This ticket plus capture `id`. A thread already in
+    /// [`MAX_CAPTURES`] captures does not join another.
+    fn with(mut self, id: u64) -> Ticket {
+        if let Some(slot) = self.ids.iter_mut().find(|slot| **slot == 0) {
+            *slot = id;
+        }
+        self
+    }
+
+    fn without(mut self, id: u64) -> Ticket {
+        for slot in &mut self.ids {
+            if *slot == id {
+                *slot = 0;
+            }
+        }
+        self
+    }
+}
+
+fn join_capture(id: u64) {
+    TICKET.with(|t| t.set(t.get().with(id)));
+}
+
+fn leave_capture(id: u64) {
+    TICKET.with(|t| t.set(t.get().without(id)));
+}
+
+/// Whether a thread holding `ticket` passes the open scope's filter.
+fn in_scope(ticket: &Ticket) -> bool {
+    // race:order(stored under the ROUTES write lock before a scope's sink is installed and after it is removed; event delivery loads it under the read lock, and the live path tolerates a stale read at a scope's edges)
+    let active = ACTIVE_SCOPE.load(Ordering::Relaxed);
+    active == 0 || ticket.holds(active)
+}
+
+/// The calling thread's ticket, for the threads it is about to start.
+pub fn ticket() -> Ticket {
+    TICKET.with(Cell::get)
+}
+
+/// Makes the calling thread a member of exactly the captures `ticket`
+/// names for the guard's lifetime, restoring its previous membership on
+/// drop. `jp-par` workers adopt the ticket of the thread that called
+/// `run_tasks`; jp-serve threads adopt the one taken at `Server::bind`.
+#[must_use = "membership lasts only while the guard is alive"]
+pub fn adopt(ticket: Ticket) -> AdoptGuard {
+    let previous = TICKET.with(|t| t.replace(ticket));
+    AdoptGuard {
+        previous,
+        _thread: PhantomData,
+    }
+}
+
+/// One thread's adopted membership; see [`adopt`].
+pub struct AdoptGuard {
+    previous: Ticket,
+    /// Membership is per thread: the guard must drop where it was made.
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for AdoptGuard {
+    fn drop(&mut self) {
+        TICKET.with(|t| t.set(self.previous));
+    }
 }
 
 /// This thread's process-local id, as stamped into [`Event::thread`].
@@ -71,106 +204,89 @@ pub fn thread_id() -> u64 {
     THREAD_ID.with(|t| *t)
 }
 
-/// Whether a sink is installed. Inlined to one relaxed atomic load so
-/// instrumented hot paths cost nothing measurable when observability is
-/// off.
+/// Whether any destination is on: a sink, a tap or a live scope. One
+/// relaxed atomic load, so call sites can skip computing what they
+/// would emit.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    // race:order(gate flag only; the routes it summarizes are read under the ROUTES lock)
+    GATE.load(Ordering::Relaxed) != 0
 }
 
 /// Installs `sink` as the process-wide event destination and resets the
 /// `start`-offset epoch to now.
 pub fn set_sink(sink: Arc<dyn Sink>) {
-    let mut slot = SINK.write().unwrap_or_else(|e| e.into_inner());
-    *slot = Some(sink);
-    {
-        let mut epoch = EPOCH.lock().unwrap_or_else(|e| e.into_inner());
-        *epoch = Some(Instant::now());
-    }
-    ENABLED.store(true, Ordering::Relaxed);
+    let mut routes = write_routes();
+    routes.sink = Some(sink);
+    routes.epoch = Some(Instant::now());
+    routes.publish();
 }
 
 /// Removes the process-wide sink (flushing it first). Emission stays
-/// enabled if a [`set_tap`] tap is still installed.
+/// enabled if a tap or a live scope is still up.
 pub fn clear_sink() {
-    // Take the sink and release its lock before touching the tap slot:
-    // never holding both avoids a lock-order cycle with `TapGuard::drop`.
     let taken = {
-        let mut slot = SINK.write().unwrap_or_else(|e| e.into_inner());
-        slot.take()
+        let mut routes = write_routes();
+        let taken = routes.sink.take();
+        routes.publish();
+        taken
     };
-    let tap_up = !TAP.read().unwrap_or_else(|e| e.into_inner()).is_empty();
-    ENABLED.store(tap_up, Ordering::Relaxed);
-    if !tap_up {
-        let mut epoch = EPOCH.lock().unwrap_or_else(|e| e.into_inner());
-        *epoch = None;
-    }
     if let Some(sink) = taken {
         sink.flush();
     }
 }
 
 /// Installs `tap` as a secondary event destination for the guard's
-/// lifetime. Every event [`dispatch`]ed while the guard lives — whether
-/// or not a primary sink is installed — is also delivered to the tap;
-/// scoped-capture thread filtering applies to sink and taps alike.
-/// jp-serve's tail sampler rides this so it can buffer per-request
-/// spans while the CLI's `--trace` capture (if any) keeps writing the
-/// full stream; taps stack, so `jp explain`'s counter capture can run
-/// while a server's sampler is live.
+/// lifetime, and makes the calling thread a member of it.
+///
+/// A tap receives the events of its member threads only — the
+/// installing thread and the threads that [`adopt`]ed a [`ticket`] it
+/// was in — whether or not a primary sink is installed. jp-serve's tail
+/// sampler rides this, so it buffers its own server's requests while a
+/// `--trace` capture keeps writing the full stream, and two servers in
+/// one process never see each other's events. Taps stack; each guard
+/// removes exactly its own.
 #[must_use = "the tap is removed when the guard drops"]
 pub fn set_tap(tap: Arc<dyn Sink>) -> TapGuard {
-    // race:order(token uniqueness only — no ordering dependency)
-    let token = NEXT_TAP_TOKEN.fetch_add(1, Ordering::Relaxed);
+    // race:order(id uniqueness only — no ordering dependency)
+    let token = NEXT_CAPTURE.fetch_add(1, Ordering::Relaxed);
+    join_capture(token);
     {
-        let mut taps = TAP.write().unwrap_or_else(|e| e.into_inner());
-        taps.push((token, tap));
+        let mut routes = write_routes();
+        routes.taps.push((token, tap));
+        routes.epoch.get_or_insert_with(Instant::now);
+        routes.publish();
     }
-    {
-        let mut epoch = EPOCH.lock().unwrap_or_else(|e| e.into_inner());
-        epoch.get_or_insert_with(Instant::now);
+    TapGuard {
+        token,
+        _thread: PhantomData,
     }
-    ENABLED.store(true, Ordering::Relaxed);
-    TapGuard { token }
 }
 
-/// Removes its own tap entry on drop (flushing it first); see
-/// [`set_tap`]. Other installed taps are untouched.
+/// Removes its own tap (flushing it first) and the installing thread's
+/// membership in it; see [`set_tap`]. Other taps are untouched.
 pub struct TapGuard {
     token: u64,
+    /// Membership is per thread: the guard must drop where it was made.
+    _thread: PhantomData<*const ()>,
 }
 
 impl Drop for TapGuard {
     fn drop(&mut self) {
-        // Mirror of `clear_sink`: take under one lock, then inspect the
-        // other — the two slots are never locked simultaneously.
-        let (taken, taps_left) = {
-            let mut taps = TAP.write().unwrap_or_else(|e| e.into_inner());
-            let taken = taps
+        leave_capture(self.token);
+        let taken = {
+            let mut routes = write_routes();
+            let taken = routes
+                .taps
                 .iter()
                 .position(|(t, _)| *t == self.token)
-                .map(|i| taps.remove(i).1);
-            (taken, !taps.is_empty())
+                .map(|i| routes.taps.remove(i).1);
+            routes.publish();
+            taken
         };
-        let sink_up = SINK.read().unwrap_or_else(|e| e.into_inner()).is_some();
-        ENABLED.store(sink_up || taps_left, Ordering::Relaxed);
-        if !sink_up && !taps_left {
-            let mut epoch = EPOCH.lock().unwrap_or_else(|e| e.into_inner());
-            *epoch = None;
-        }
         if let Some(tap) = taken {
             tap.flush();
         }
-    }
-}
-
-/// Microseconds since the current sink was installed (0 with no sink).
-fn epoch_micros() -> u64 {
-    let epoch = EPOCH.lock().unwrap_or_else(|e| e.into_inner());
-    match *epoch {
-        Some(t0) => t0.elapsed().as_micros().min(u64::MAX as u128) as u64,
-        None => 0,
     }
 }
 
@@ -181,67 +297,17 @@ pub fn current_span() -> Option<u64> {
     SPAN_STACK.with(|s| s.borrow().last().copied())
 }
 
-/// Delivers a fully stamped event to the sink, honoring scope filtering.
-/// `event.thread` must already be set.
-fn dispatch(event: Event) {
-    {
-        let members = SCOPE_MEMBERS.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(set) = members.as_ref() {
-            if !set.contains(&event.thread) {
-                // A scoped capture is active and this thread is not part
-                // of it: the event belongs to someone else's scope (or to
-                // no scope at all) and must not cross-talk into the
-                // capture. Its reserved seq is simply never written —
-                // the resulting gap is reported (not mistaken for data
-                // loss) by `trace summary`.
-                return;
-            }
+/// Delivers a fully stamped event: to the sink when `ticket` passes the
+/// open scope's filter, and to every tap `ticket` is a member of.
+fn deliver(routes: &Routes, ticket: &Ticket, event: &Event) {
+    if let Some(sink) = routes.sink.as_ref() {
+        if in_scope(ticket) {
+            sink.record(event);
         }
     }
-    {
-        let slot = SINK.read().unwrap_or_else(|e| e.into_inner());
-        if let Some(sink) = slot.as_ref() {
-            sink.record(&event);
-        }
-    }
-    let taps = TAP.read().unwrap_or_else(|e| e.into_inner());
-    for (_, tap) in taps.iter() {
-        tap.record(&event);
-    }
-}
-
-/// Registers the current thread as a member of the active scoped capture
-/// (if any) for the guard's lifetime.
-///
-/// Worker threads spawned inside a [`ScopedSink`] scope call this before
-/// emitting; without it their events are filtered out as potential
-/// cross-talk from unrelated threads. With no scope active (or from the
-/// scope-owning thread) the guard is a no-op. `jp-par` workers adopt
-/// automatically.
-#[must_use = "membership lasts only while the guard is alive"]
-pub fn adopt() -> AdoptGuard {
-    let tid = thread_id();
-    let mut members = SCOPE_MEMBERS.lock().unwrap_or_else(|e| e.into_inner());
-    let added = match members.as_mut() {
-        Some(set) => set.insert(tid),
-        None => false,
-    };
-    AdoptGuard { tid, added }
-}
-
-/// Scope membership for one worker thread; see [`adopt`].
-pub struct AdoptGuard {
-    tid: u64,
-    added: bool,
-}
-
-impl Drop for AdoptGuard {
-    fn drop(&mut self) {
-        if self.added {
-            let mut members = SCOPE_MEMBERS.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(set) = members.as_mut() {
-                set.remove(&self.tid);
-            }
+    for (token, tap) in &routes.taps {
+        if ticket.holds(*token) {
+            tap.record(event);
         }
     }
 }
@@ -283,12 +349,11 @@ impl Drop for LinkGuard {
 /// Stamps every event this thread emits with serve-request `id` for the
 /// guard's lifetime, restoring the previous request context on drop.
 ///
-/// The dispatcher installs this on a worker right before running a
-/// request's job, so queue-wait counters, memo probes, solver and wcoj
-/// spans all carry the same `request` field as the wire frame that
-/// caused them. `None` is an inert guard (the ambient context — usually
-/// none — stays in place), so callers can pass an optional id through
-/// without branching.
+/// A serve handler installs this when it starts on a request, so
+/// queue-wait counters, memo probes, solver and wcoj spans all carry the
+/// same `request` field as the wire frame that caused them. `None` is an
+/// inert guard (the ambient context — usually none — stays in place),
+/// so callers can pass an optional id through without branching.
 #[must_use = "the request context lasts only while the guard is alive"]
 pub fn with_request(id: Option<u64>) -> RequestGuard {
     let previous = match id {
@@ -320,17 +385,58 @@ impl Drop for RequestGuard {
     }
 }
 
-/// Emits a counter event (no-op with no sink installed).
+/// Counts `value` units of work: one counter event to the sink and taps,
+/// and an add to the live counter `component.name`. Each destination
+/// sees the call only while it is on and the calling thread passes its
+/// filter.
 #[inline]
 pub fn counter(component: &str, name: &str, value: u64) {
-    if enabled() {
+    // race:order(gate flag only; the routes it summarizes are read under the ROUTES lock)
+    let gate = GATE.load(Ordering::Relaxed);
+    if gate != 0 {
+        emit_counter(gate, component, name, value);
+    }
+}
+
+fn emit_counter(gate: u8, component: &str, name: &str, value: u64) {
+    let ticket = ticket();
+    if gate & LIVE != 0 && in_scope(&ticket) {
+        live::publish(component, name, Update::Add(value));
+    }
+    if gate & EVENTS != 0 {
         let mut event = Event::counter(component, name, value);
+        // race:order(seq uniqueness only; the trace orders by it after the fact)
         event.seq = SEQ.fetch_add(1, Ordering::Relaxed);
         event.thread = thread_id();
-        event.start = epoch_micros();
         event.parent = current_span();
         event.request = current_request();
-        dispatch(event);
+        let routes = read_routes();
+        event.start = routes.micros();
+        deliver(&routes, &ticket, &event);
+    }
+}
+
+/// Sets the live gauge `component.name` to `value`. Gauges are levels,
+/// not work, so they stay out of the event stream: the live registry is
+/// their only destination.
+#[inline]
+pub fn gauge(component: &str, name: &str, value: u64) {
+    live_only(component, name, Update::Set(value));
+}
+
+/// Records `value` into the live histogram `component.name`. Like
+/// [`gauge`], live registry only: durations reach the event stream as
+/// [`span`]s.
+#[inline]
+pub fn observe(component: &str, name: &str, value: u64) {
+    live_only(component, name, Update::Observe(value));
+}
+
+#[inline]
+fn live_only(component: &str, name: &str, update: Update) {
+    // race:order(gate flag only; the routes it summarizes are read under the ROUTES lock)
+    if GATE.load(Ordering::Relaxed) & LIVE != 0 && in_scope(&ticket()) {
+        live::publish(component, name, update);
     }
 }
 
@@ -342,10 +448,12 @@ pub fn counter(component: &str, name: &str, value: u64) {
 /// span's `seq` as their `parent`, and a parent's `seq` is always
 /// smaller than its children's.
 ///
-/// With no sink installed the guard is inert: the clock is never read.
+/// With no sink or tap installed the guard is inert: the clock is never
+/// read.
 #[inline]
 pub fn span(component: &'static str, name: &'static str) -> SpanGuard {
-    if !enabled() {
+    // race:order(gate flag only; the routes it summarizes are read under the ROUTES lock)
+    if GATE.load(Ordering::Relaxed) & EVENTS == 0 {
         return SpanGuard {
             start: None,
             seq: 0,
@@ -356,17 +464,18 @@ pub fn span(component: &'static str, name: &'static str) -> SpanGuard {
             name,
         };
     }
+    // race:order(seq uniqueness only; the trace orders by it after the fact)
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let parent = current_span();
     SPAN_STACK.with(|s| s.borrow_mut().push(seq));
     SpanGuard {
         start: Some(Instant::now()),
         seq,
-        start_offset: epoch_micros(),
+        start_offset: read_routes().micros(),
         parent,
         // Like `parent`, the request context is captured at open: the
         // span belongs to whatever request was live when it started,
-        // even if the guard drops after the dispatcher moved on.
+        // even if the guard drops after the handler moved on.
         request: current_request(),
         component,
         name,
@@ -399,51 +508,89 @@ impl Drop for SpanGuard {
             // Re-check: the sink may have been cleared mid-span. The
             // reserved seq then stays unwritten, which `trace summary`
             // reports as an (expected) gap.
-            if enabled() {
-                let micros = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                let mut event = Event::span(self.component, self.name, micros);
-                event.seq = self.seq;
-                event.thread = thread_id();
-                event.start = self.start_offset;
-                event.parent = self.parent;
-                event.request = self.request;
-                dispatch(event);
+            // race:order(gate flag only; the routes it summarizes are read under the ROUTES lock)
+            if GATE.load(Ordering::Relaxed) & EVENTS == 0 {
+                return;
             }
+            let micros = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
+            let mut event = Event::span(self.component, self.name, micros);
+            event.seq = self.seq;
+            event.thread = thread_id();
+            event.start = self.start_offset;
+            event.parent = self.parent;
+            event.request = self.request;
+            deliver(&read_routes(), &ticket(), &event);
         }
     }
 }
 
-/// Installs a sink for the lifetime of the guard, restoring the previous
-/// state on drop.
+/// A capture for the lifetime of the guard: events into a sink, the
+/// live registry, or both.
 ///
-/// Holders are serialized through a global lock, so concurrently running
-/// tests that each install a [`ScopedSink`] observe only their own
-/// events. While a scope is active, emission is additionally filtered to
-/// the installing thread and any workers that [`adopt`]ed into the scope
-/// — events from unrelated threads (e.g. another test's solver still
-/// unwinding) are dropped instead of polluting the capture.
+/// Holders are serialized through a global lock, so concurrently
+/// running tests that each open one observe only their own work. While
+/// a scope is open, the sink and the live registry take only the work of
+/// its members: the opening thread and the threads that [`adopt`]ed a
+/// [`ticket`] naming it. Events from unrelated threads (another test's
+/// solver, a thread started outside the capture) are dropped instead of
+/// polluting it.
 pub struct ScopedSink {
-    _scope: MutexGuard<'static, ()>,
+    id: u64,
+    _serial: MutexGuard<'static, ()>,
 }
 
 impl ScopedSink {
-    /// Installs `sink`, blocking until any other scope has dropped.
+    /// Captures events into `sink`, blocking until any other scope has
+    /// dropped.
     pub fn install(sink: Arc<dyn Sink>) -> Self {
-        let scope = SCOPE.lock().unwrap_or_else(|e| e.into_inner());
-        {
-            let mut members = SCOPE_MEMBERS.lock().unwrap_or_else(|e| e.into_inner());
-            *members = Some(BTreeSet::from([thread_id()]));
+        Self::open(Some(sink), false)
+    }
+
+    /// Opens a scope with `sink` (if any) as the event destination and,
+    /// when `live` is set, the live registry reset to zero and fed.
+    /// Blocks until any other scope has dropped. On drop the scope
+    /// clears the process-wide sink.
+    pub fn open(sink: Option<Arc<dyn Sink>>, live: bool) -> Self {
+        let serial = SCOPE.lock().unwrap_or_else(|e| e.into_inner());
+        // race:order(id uniqueness only — no ordering dependency)
+        let id = NEXT_CAPTURE.fetch_add(1, Ordering::Relaxed);
+        join_capture(id);
+        if live {
+            live::reset();
         }
-        set_sink(sink);
-        ScopedSink { _scope: scope }
+        {
+            let mut routes = write_routes();
+            // race:order(published by the ROUTES write lock released below)
+            ACTIVE_SCOPE.store(id, Ordering::Relaxed);
+            if let Some(sink) = sink {
+                routes.sink = Some(sink);
+                routes.epoch = Some(Instant::now());
+            }
+            routes.live = live;
+            routes.publish();
+        }
+        ScopedSink {
+            id,
+            _serial: serial,
+        }
     }
 }
 
 impl Drop for ScopedSink {
     fn drop(&mut self) {
-        clear_sink();
-        let mut members = SCOPE_MEMBERS.lock().unwrap_or_else(|e| e.into_inner());
-        *members = None;
+        let taken = {
+            let mut routes = write_routes();
+            let taken = routes.sink.take();
+            routes.live = false;
+            // race:order(published by the ROUTES write lock released below)
+            ACTIVE_SCOPE.store(0, Ordering::Relaxed);
+            routes.publish();
+            taken
+        };
+        leave_capture(self.id);
+        if let Some(sink) = taken {
+            sink.flush();
+        }
     }
 }
 
@@ -514,9 +661,10 @@ mod tests {
         let _guard = ScopedSink::install(sink.clone());
         let outer = span("t", "cross_outer");
         let outer_seq = current_span().unwrap();
+        let ticket = ticket();
         std::thread::scope(|s| {
             s.spawn(|| {
-                let _adopt = adopt();
+                let _adopt = adopt(ticket);
                 let _link = link_parent(Some(outer_seq));
                 counter("t", "linked", 1);
                 let _child = span("t", "cross_child");
@@ -542,12 +690,13 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         let _guard = ScopedSink::install(sink.clone());
         counter("t", "mine", 1);
+        let ticket = ticket();
         std::thread::scope(|s| {
             // Not adopted: filtered out as cross-talk.
             s.spawn(|| counter("t", "foreign", 1));
             // Adopted: captured, stamped with the worker's own id.
             s.spawn(|| {
-                let _adopt = adopt();
+                let _adopt = adopt(ticket);
                 counter("t", "adopted", 1);
             });
         });
@@ -561,10 +710,36 @@ mod tests {
     }
 
     #[test]
-    fn adopt_outside_scope_is_inert() {
-        let _adopt = adopt();
-        // Nothing to assert beyond "does not panic / does not enable".
-        assert!(!enabled());
+    fn a_non_member_passes_on_no_membership() {
+        let sink = Arc::new(MemorySink::new());
+        let _guard = ScopedSink::install(sink.clone());
+        std::thread::scope(|s| {
+            // A thread outside the capture starts a worker and hands it
+            // its own (empty) ticket: the worker stays outside too.
+            s.spawn(|| {
+                let outside = ticket();
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        let _adopt = adopt(outside);
+                        counter("t", "outsider_worker", 1);
+                    });
+                });
+            });
+        });
+        assert!(sink.events().is_empty(), "{:?}", sink.events());
+    }
+
+    #[test]
+    fn adopt_restores_the_previous_membership() {
+        let sink = Arc::new(MemorySink::new());
+        let _guard = ScopedSink::install(sink.clone());
+        {
+            let _adopt = adopt(Ticket::default());
+            counter("t", "while_outside", 1);
+        }
+        counter("t", "back_inside", 1);
+        let names: Vec<String> = sink.events().iter().map(|e| e.name.clone()).collect();
+        assert_eq!(names, vec!["back_inside"]);
     }
 
     #[test]
@@ -658,6 +833,38 @@ mod tests {
         assert_eq!(tap_names, vec!["tap_only", "both", "tap_again"]);
         let sink_names: Vec<String> = sink.events().iter().map(|e| e.name.clone()).collect();
         assert_eq!(sink_names, vec!["both"]);
+    }
+
+    #[test]
+    fn a_tap_sees_only_its_members() {
+        let scope = SCOPE.lock().unwrap_or_else(|e| e.into_inner());
+        let tap = Arc::new(MemorySink::new());
+        let tap_guard = set_tap(tap.clone());
+        let ticket = ticket();
+        std::thread::scope(|s| {
+            s.spawn(|| counter("t", "stranger", 1));
+            s.spawn(|| {
+                let _adopt = adopt(ticket);
+                counter("t", "member", 1);
+            });
+        });
+        drop(tap_guard);
+        drop(scope);
+        let names: Vec<String> = tap.events().iter().map(|e| e.name.clone()).collect();
+        assert_eq!(names, vec!["member"]);
+    }
+
+    #[test]
+    fn a_ticket_holds_four_captures() {
+        let mut t = Ticket::default();
+        for id in 1..=5 {
+            t = t.with(id);
+        }
+        assert!((1..=4).all(|id| t.holds(id)));
+        assert!(!t.holds(5), "a fifth capture is not joined");
+        let t = t.without(3).with(6);
+        assert!(!t.holds(3) && t.holds(6), "a freed slot is reused");
+        assert!(!t.holds(0), "0 names no capture");
     }
 
     #[test]

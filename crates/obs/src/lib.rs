@@ -1,36 +1,44 @@
 #![forbid(unsafe_code)]
-//! `jp-obs` — hand-rolled, std-only observability for the solver ladder.
+//! `jp-obs` — hand-rolled, std-only instrumentation for the solver
+//! ladder: the one API every site calls, for both the event stream and
+//! the live metrics registry.
 //!
 //! The paper measures *tuple-level work* (pebble placements, jumps), not
 //! wall-clock time, so the solvers need to report what they actually did:
 //! how many DP states Held–Karp touched, how many nodes branch-and-bound
 //! expanded and why it pruned, how many improving moves 2-opt found. This
-//! crate is the plumbing: instruments record, a pluggable [`Sink`]
-//! receives, and when no sink is installed the whole layer costs one
-//! relaxed atomic load per call site.
+//! crate is the plumbing: each site makes one call, and one relaxed
+//! atomic load decides whether any destination is on. With none on, a
+//! call costs that load and nothing else.
 //!
 //! # Architecture
 //!
-//! * [`Event`] — one observation: a `Counter` value or a `Span` duration,
-//!   tagged with a `component` (which solver) and a `name` (which
-//!   signal). Serializes to one JSON object per line (JSONL).
+//! * [`counter`] — work done. One call feeds a `Counter` [`Event`] to
+//!   the sink and taps *and* an add to the live counter `component.name`.
+//! * [`gauge`]/[`observe`] — levels and distributions, same shape; they
+//!   feed the live registry only (the event stream has no level kind).
+//! * [`span`] — an RAII timer; on drop it emits a `Span` event.
+//! * [`Event`] — one observation, tagged with a `component` (which
+//!   solver) and a `name` (which signal). Serializes to one JSON object
+//!   per line (JSONL).
 //! * [`Sink`] — where events go. Provided: [`JsonlSink`] (file or
 //!   stderr), [`MemorySink`] (tests), [`StatsSink`] (in-process
 //!   aggregation for `--stats` and the bench harness), [`NoopSink`], and
-//!   [`FanoutSink`] (tee).
-//! * [`counter`]/[`span`] — the emission API solvers call. Both check the
-//!   global enabled flag first; with no sink installed they return
-//!   immediately without allocating or reading the clock.
-//! * [`Counter`]/[`Histogram`] — atomic instruments for long-lived
-//!   aggregation (monotone by construction; see the property tests).
-//! * [`ScopedSink`] — RAII installation for tests and CLI runs; restores
-//!   the previous sink on drop and serializes concurrent installers.
-//!   While a scope is active, emission is filtered to the installing
-//!   thread plus any worker threads that [`adopt`]ed into the scope, so
-//!   captures never see cross-talk from unrelated threads.
-//! * [`adopt`]/[`thread_id`] — parallel-runtime hooks: workers adopt
-//!   into the active scope for their lifetime, and every event is
-//!   stamped with the emitting thread's process-local id.
+//!   [`FanoutSink`] (tee). [`set_sink`] installs one process-wide and
+//!   observes every thread; [`set_tap`] adds a secondary destination
+//!   that sees only its member threads.
+//! * The live registry — counters, gauges and log₂ [`PulseHistogram`]s
+//!   keyed `component.name`, read by samplers through
+//!   [`live_snapshot`]. A live update never allocates after a name's
+//!   first use.
+//! * [`ScopedSink`] — the one capture scope: a sink, the live registry,
+//!   or both, for the guard's lifetime. Holders serialize on one lock,
+//!   and only member threads reach the capture.
+//! * [`Ticket`]/[`ticket`]/[`adopt`] — membership. A spawner takes its
+//!   ticket and each thread it starts adopts it, so workers join exactly
+//!   the captures (scope and taps) their spawner was in, never whatever
+//!   happens to be open. Membership is a thread-local, so the emit path
+//!   takes no global lock to test it.
 //!
 //! # Event schema (version 2)
 //!
@@ -54,14 +62,14 @@
 
 pub mod event;
 mod global;
-mod instrument;
+mod live;
 mod sink;
 
 pub use event::{Event, EventKind, SCHEMA_VERSION};
 pub use global::{
-    adopt, clear_sink, counter, current_request, current_span, enabled, link_parent, set_sink,
-    set_tap, span, thread_id, with_request, AdoptGuard, LinkGuard, RequestGuard, ScopedSink,
-    SpanGuard, TapGuard,
+    adopt, clear_sink, counter, current_request, current_span, enabled, gauge, link_parent,
+    observe, set_sink, set_tap, span, thread_id, ticket, with_request, AdoptGuard, LinkGuard,
+    RequestGuard, ScopedSink, SpanGuard, TapGuard, Ticket,
 };
-pub use instrument::{nearest_rank, Counter, Histogram};
+pub use live::{live_snapshot, nearest_rank, PulseHistogram};
 pub use sink::{FanoutSink, JsonlSink, MemorySink, NoopSink, Sink, StatsSink, StatsSnapshot};

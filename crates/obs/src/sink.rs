@@ -56,7 +56,9 @@ impl JsonlSink {
 
 impl Sink for JsonlSink {
     fn record(&self, event: &Event) {
-        let line = serde_json::to_string(event).expect("event serialization is infallible");
+        let Ok(line) = serde_json::to_string(event) else {
+            return;
+        };
         let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
         // A broken pipe mid-trace should not take the solver down.
         let _ = writeln!(out, "{line}");
@@ -64,6 +66,7 @@ impl Sink for JsonlSink {
 
     fn flush(&self) {
         let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
+        // audit:allow(guard-across-call) flushes the writer this guard protects; it emits nothing and takes no other lock
         let _ = out.flush();
     }
 }

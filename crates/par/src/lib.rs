@@ -31,8 +31,9 @@
 //!
 //! Results are returned **in task-index order** (seeds first, then
 //! spawned tasks in spawn order), so output is deterministic regardless
-//! of which worker ran what. Workers [`jp_obs::adopt`] into any active
-//! scoped capture, and every event they emit carries their thread id, so
+//! of which worker ran what. Workers [`jp_obs::adopt`] the ticket of the
+//! thread that called [`run_tasks`], so they join exactly the captures
+//! it was in, and every event they emit carries their thread id, so
 //! parallel traces stay attributable.
 
 use std::collections::VecDeque;
@@ -104,7 +105,6 @@ impl<T> Worker<'_, T> {
         self.shared.pending.fetch_add(1, Ordering::Release);
         // race:order(monotonic statistic, read after the scoped join)
         self.shared.spawned.fetch_add(1, Ordering::Relaxed);
-        jp_pulse::counter_add("par.spawned", 1);
         lock(&self.shared.injector).push_back(IndexedTask {
             index,
             payload: task,
@@ -127,13 +127,10 @@ impl<T> Worker<'_, T> {
             let Some(victim) = self.shared.locals.get((self.id + k) % n) else {
                 continue;
             };
-            // Bind the pop so the victim's deque guard dies at the `;` —
-            // the pulse counter below must not run under that lock.
             let stolen = lock(victim).pop_back();
             if let Some(t) = stolen {
                 // race:order(monotonic statistic, read after the scoped join)
                 self.shared.steals.fetch_add(1, Ordering::Relaxed);
-                jp_pulse::counter_add("par.steals", 1);
                 return Some(t);
             }
         }
@@ -144,6 +141,7 @@ impl<T> Worker<'_, T> {
 fn worker_loop<'a, T, R, F>(
     shared: &'a Shared<T>,
     id: usize,
+    ticket: jp_obs::Ticket,
     run_span: Option<u64>,
     run_request: Option<u64>,
     f: &F,
@@ -151,12 +149,9 @@ fn worker_loop<'a, T, R, F>(
 where
     F: Fn(&Worker<'a, T>, T) -> R,
 {
-    // Join any active scoped obs capture for this worker's lifetime —
-    // without this, a ScopedSink would drop our events as cross-talk.
-    let _adopt = jp_obs::adopt();
-    // Same for an active pulse scope: live gauges published here must
-    // land in the sampler's registry, not be filtered as cross-talk.
-    let _pulse = jp_pulse::adopt();
+    // Join the captures the caller of run_tasks was in for this
+    // worker's lifetime, and no others.
+    let _adopt = jp_obs::adopt(ticket);
     // Allocation attribution: everything this worker does defaults to
     // the `par` scope; solver/memo entry points override by nesting.
     let _mem = jp_pulse::mem_scope(jp_pulse::MemScope::Par);
@@ -174,11 +169,11 @@ where
     // timeline.
     jp_obs::counter("par", "worker.start", 1);
     // Live per-worker utilization: busy time spent inside tasks over
-    // wall time since the worker started. Published as a pulse gauge
+    // wall time since the worker started. Published as a live gauge
     // after every task, so `jp pulse top` shows load while we run.
     let started = std::time::Instant::now();
     let mut busy = std::time::Duration::ZERO;
-    let util_gauge = format!("par.worker.{id}.util_pct");
+    let util_gauge = format!("worker.{id}.util_pct");
     let worker = Worker { shared, id };
     let mut out = Vec::new();
     loop {
@@ -188,8 +183,7 @@ where
         }
         match worker.next_task() {
             Some(task) => {
-                let pulsing = jp_pulse::enabled();
-                let task_start = pulsing.then(std::time::Instant::now);
+                let task_start = jp_obs::enabled().then(std::time::Instant::now);
                 match std::panic::catch_unwind(AssertUnwindSafe(|| f(&worker, task.payload))) {
                     Ok(result) => out.push((task.index, result)),
                     Err(payload) => {
@@ -211,9 +205,10 @@ where
                     busy += t0.elapsed();
                     let wall = started.elapsed().as_micros().max(1);
                     let pct = (busy.as_micros().saturating_mul(100) / wall) as u64;
-                    jp_pulse::gauge_set(&util_gauge, pct.min(100));
-                    jp_pulse::gauge_set(
-                        "par.queue_depth",
+                    jp_obs::gauge("par", &util_gauge, pct.min(100));
+                    jp_obs::gauge(
+                        "par",
+                        "queue_depth",
                         // race:order(Acquire pairs with the Release bumps; the gauge is a live snapshot either way)
                         shared.pending.load(Ordering::Acquire) as u64,
                     );
@@ -252,6 +247,8 @@ where
     F: for<'a> Fn(&Worker<'a, T>, T) -> R + Sync,
 {
     let _span = jp_obs::span("par", "run");
+    // The captures the caller is in, which every worker joins.
+    let ticket = jp_obs::ticket();
     // The seq the span reserved: workers link it as their parent so
     // cross-thread task spans still nest under this `par.run`.
     let run_span = jp_obs::current_span();
@@ -278,14 +275,16 @@ where
         }
     }
     let collected: Vec<(usize, R)> = if threads == 1 {
-        worker_loop(&shared, 0, run_span, run_request, &f)
+        worker_loop(&shared, 0, ticket, run_span, run_request, &f)
     } else {
         let shared_ref = &shared;
         let f_ref = &f;
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|id| {
-                    s.spawn(move || worker_loop(shared_ref, id, run_span, run_request, f_ref))
+                    s.spawn(move || {
+                        worker_loop(shared_ref, id, ticket, run_span, run_request, f_ref)
+                    })
                 })
                 .collect();
             let mut all = Vec::new();
@@ -315,14 +314,6 @@ where
         jp_obs::counter("par", "steals", shared.steals.load(Ordering::Relaxed));
         jp_obs::counter("par", "spawned", shared.spawned.load(Ordering::Relaxed));
     }
-    if jp_pulse::enabled() {
-        jp_pulse::gauge_set("par.workers", threads as u64);
-        jp_pulse::gauge_set(
-            "par.tasks",
-            // race:order(read after the scoped join; Acquire is belt-and-braces)
-            shared.next_index.load(Ordering::Acquire) as u64,
-        );
-    }
     // race:order(read after the scoped join; Acquire is belt-and-braces)
     let total = shared.next_index.load(Ordering::Acquire);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(total);
@@ -344,18 +335,8 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::time::Duration;
 
-    /// Serializes this module's tests. A `run_tasks` worker joins
-    /// whatever jp-obs/jp-pulse scope is active when it starts, so
-    /// workers of one test running beside another test's scoped capture
-    /// would land their events in that capture.
-    fn serial() -> MutexGuard<'static, ()> {
-        static SERIAL: Mutex<()> = Mutex::new(());
-        lock(&SERIAL)
-    }
-
     #[test]
     fn results_preserve_task_order() {
-        let _serial = serial();
         for threads in [1, 2, 4, 9] {
             let out = run_tasks(threads, (0u64..100).collect(), |_, x| x * 2);
             assert_eq!(out, (0u64..100).map(|x| x * 2).collect::<Vec<_>>());
@@ -364,14 +345,12 @@ mod tests {
 
     #[test]
     fn empty_task_list_is_a_noop() {
-        let _serial = serial();
         let out: Vec<u32> = run_tasks(4, Vec::<u32>::new(), |_, x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn zero_threads_clamps_to_one() {
-        let _serial = serial();
         let out = run_tasks(0, vec![1, 2, 3], |w, x| {
             assert_eq!(w.id(), 0);
             x + 10
@@ -381,7 +360,6 @@ mod tests {
 
     #[test]
     fn more_threads_than_tasks() {
-        let _serial = serial();
         let out = run_tasks(8, vec![5u64, 7], |w, x| {
             assert!(w.id() < 8);
             x
@@ -391,7 +369,6 @@ mod tests {
 
     #[test]
     fn skewed_seeds_get_stolen() {
-        let _serial = serial();
         // Two workers; worker 0's first seed blocks until one of worker
         // 0's other seeds (even index) has executed on worker 1 — i.e.
         // until a steal demonstrably happened. Worker 1's seeds are all
@@ -417,7 +394,6 @@ mod tests {
 
     #[test]
     fn spawned_tasks_run_and_append_results() {
-        let _serial = serial();
         for threads in [1, 3] {
             let out = run_tasks(threads, vec![10u64, 20], |w, x| {
                 if x == 10 {
@@ -432,7 +408,6 @@ mod tests {
 
     #[test]
     fn recursive_spawns_terminate() {
-        let _serial = serial();
         // Each task < 8 spawns its successor; all must complete.
         let out = run_tasks(2, vec![0u64], |w, x| {
             if x < 8 {
@@ -445,7 +420,6 @@ mod tests {
 
     #[test]
     fn workers_adopt_into_scoped_captures() {
-        let _serial = serial();
         let sink = std::sync::Arc::new(jp_obs::MemorySink::new());
         let _guard = jp_obs::ScopedSink::install(sink.clone());
         let out = run_tasks(3, (0u64..9).collect(), |_, x| {
@@ -486,8 +460,28 @@ mod tests {
     }
 
     #[test]
+    fn workers_of_a_non_member_stay_out_of_the_capture() {
+        let sink = std::sync::Arc::new(jp_obs::MemorySink::new());
+        let _guard = jp_obs::ScopedSink::install(sink.clone());
+        // A thread that never joined the capture fans work out to four
+        // workers; they take its ticket, not the open scope.
+        std::thread::spawn(|| {
+            run_tasks(4, (0u64..16).collect(), |_, x| {
+                jp_obs::counter("par", "leaked_task", x);
+                x
+            })
+        })
+        .join()
+        .expect("outsider thread");
+        let events = sink.events();
+        assert!(
+            events.is_empty(),
+            "capture holds foreign events: {events:?}"
+        );
+    }
+
+    #[test]
     fn workers_inherit_the_callers_request_context() {
-        let _serial = serial();
         let sink = std::sync::Arc::new(jp_obs::MemorySink::new());
         let _guard = jp_obs::ScopedSink::install(sink.clone());
         let _req = jp_obs::with_request(Some(512));
@@ -506,7 +500,6 @@ mod tests {
 
     #[test]
     fn worker_panics_propagate() {
-        let _serial = serial();
         let caught = std::panic::catch_unwind(|| {
             run_tasks(2, vec![0u32, 1], |_, x| {
                 assert_ne!(x, 1, "boom");

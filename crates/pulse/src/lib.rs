@@ -3,49 +3,33 @@
 // annotations and everything else stays denied.
 #![cfg_attr(not(feature = "alloc-track"), forbid(unsafe_code))]
 #![deny(unsafe_code)]
-//! `jp-pulse` — the always-on live metrics runtime.
+//! `jp-pulse` — consumers and exporters of live telemetry.
 //!
-//! jp-obs is a *push-event* stream: every counter bump and span close is
-//! an event, written to a sink, analyzed post-hoc by jp-trace. That is
-//! the right tool for exact work accounting, but useless for watching a
-//! long-running process *while it runs* — you cannot tail a trace you
-//! have not closed, and a serve loop cannot afford an event per request
-//! just to answer "what is the p99 right now".
+//! Instrumented code reports through jp-obs alone: one
+//! `jp_obs::counter`/`gauge`/`observe` call feeds both the event stream
+//! and the live registry, under the key `component.name`. jp-obs owns
+//! that registry and the capture scope that turns it on. This crate
+//! holds what reads or exports it while a process runs:
 //!
-//! jp-pulse is the complementary *sampled* path:
-//!
-//! * [`registry`] — a sharded registry of named atomic counters, gauges
-//!   and log₂-bucketed streaming [`PulseHistogram`]s. Updates are atomic
-//!   adds/stores behind one relaxed-load [`enabled`] check, so the
-//!   disabled path costs a single predictable branch.
+//! * [`sampler`] — a background thread that snapshots the live registry
+//!   ([`jp_obs::live_snapshot`]) and the memory stats at a fixed interval
+//!   into JSONL "pulse" lines that share the jp-obs schema-v2
+//!   conventions: pinned key order, kind `Counter`, component `"pulse"`,
+//!   monotonic `start` offsets. The damage-tolerant jp-trace reader
+//!   consumes pulse files unchanged.
 //! * [`mem`] — allocation accounting: a tracking `GlobalAlloc` wrapper
 //!   (feature `alloc-track`) attributes bytes, allocation counts and
 //!   high-water marks to coarse [`MemScope`]s (solver, memo, relalg,
 //!   par) through a thread-local scope stack of guards.
-//! * [`sampler`] — a background thread that snapshots the registry (and
-//!   the memory stats) at a fixed interval into JSONL "pulse" lines that
-//!   share the jp-obs schema-v2 conventions: pinned key order, kind
-//!   `Counter`, component `"pulse"`, monotonic `start` offsets. The
-//!   damage-tolerant jp-trace reader consumes pulse files unchanged.
 //! * [`expo`] / [`top`] — Prometheus-style text exposition and the
 //!   `jp pulse top` terminal renderer over a snapshot.
-//!
-//! Like [`jp_obs::ScopedSink`], collection is scoped: [`PulseScope`]
-//! serializes concurrent users (tests) and filters publication to the
-//! installing thread plus every worker that [`adopt`]ed in, so two
-//! concurrent runs in one process never mix their numbers.
 
 pub mod expo;
 pub mod mem;
-pub mod registry;
 pub mod sampler;
 pub mod top;
 
 #[cfg(feature = "alloc-track")]
 pub use mem::TrackingAlloc;
 pub use mem::{mem_scope, mem_snapshot, MemScope, MemScopeGuard, MemScopeStats, MemSnapshot};
-pub use registry::{
-    adopt, counter_add, enabled, gauge_set, observe, snapshot, PulseAdoptGuard, PulseHistogram,
-    PulseScope,
-};
 pub use sampler::{Sampler, SamplerReport};

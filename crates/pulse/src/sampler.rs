@@ -9,12 +9,12 @@
 //! microsecond offset since the sampler started; the registry samples
 //! and `mem.*` lines of that snapshot follow with the same `start`.
 //!
-//! Lifecycle: [`Sampler::start`] installs the [`PulseScope`] (so it owns
-//! pulse collection for the run — workers join via [`crate::adopt`]),
-//! spawns the thread, and returns. [`Sampler::stop`] signals the thread,
-//! which writes **one final snapshot after the signal** before exiting —
-//! the guarantee behind "at least one snapshot, and the last one carries
-//! the final counter values" even for runs shorter than the interval.
+//! Lifecycle: the caller opens a live `jp_obs::ScopedSink`, which turns
+//! the registry on for its member threads; [`Sampler::start`] spawns the
+//! thread and returns. [`Sampler::stop`] signals the thread, which
+//! writes **one final snapshot after the signal** before exiting — the
+//! guarantee behind "at least one snapshot, and the last one carries the
+//! final counter values" even for runs shorter than the interval.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -27,7 +27,6 @@ use std::time::{Duration, Instant};
 use jp_obs::{Event, EventKind};
 
 use crate::mem;
-use crate::registry::{self, PulseScope};
 
 /// Component string on every pulse line.
 pub const PULSE_COMPONENT: &str = "pulse";
@@ -91,7 +90,7 @@ pub struct SamplerReport {
     pub write_errors: u64,
 }
 
-/// Owns the pulse scope and the background snapshot thread.
+/// Owns the background snapshot thread.
 pub struct Sampler {
     stop: Arc<StopSignal>,
     handle: Option<JoinHandle<(u64, u64)>>,
@@ -99,28 +98,23 @@ pub struct Sampler {
     /// write or flush, read by [`Sampler::stop`] for the report.
     write_errors: Arc<AtomicU64>,
     path: PathBuf,
-    _scope: PulseScope,
 }
 
 impl Sampler {
-    /// Installs the [`PulseScope`], truncates/creates `path`, and starts
-    /// snapshotting every `interval`. Sub-millisecond intervals are
-    /// honored; zero is clamped to 1ms to keep the loop yielding.
+    /// Truncates/creates `path` and starts snapshotting the live
+    /// registry every `interval`. Sub-millisecond intervals are honored;
+    /// zero is clamped to 1ms to keep the loop yielding.
     pub fn start(path: &Path, interval: Duration) -> io::Result<Sampler> {
-        let scope = PulseScope::install();
         let file = File::create(path)?;
         let stop = Arc::new(StopSignal::new());
         let thread_stop = Arc::clone(&stop);
         let write_errors = Arc::new(AtomicU64::new(0));
         let thread_errors = Arc::clone(&write_errors);
         let interval = interval.max(Duration::from_millis(1));
-        // The sampler thread adopts into the scope so its own snapshot
-        // bookkeeping would be publishable; it only reads the registry.
         let handle = std::thread::Builder::new()
             .name("jp-pulse-sampler".to_string())
             // audit:allow(spawn-containment) intentionally outside thread::scope: the Sampler owns the JoinHandle and joins it in stop()/Drop, so the thread never outlives its owner
             .spawn(move || {
-                let _adopt = registry::adopt();
                 let mut writer = BufWriter::new(file);
                 let t0 = Instant::now();
                 let mut snapshots: u64 = 0;
@@ -147,7 +141,6 @@ impl Sampler {
             handle: Some(handle),
             write_errors,
             path: path.to_path_buf(),
-            _scope: scope,
         })
     }
 
@@ -157,7 +150,7 @@ impl Sampler {
     }
 
     /// Signals the thread, waits for the final post-run snapshot, and
-    /// returns the report. The pulse scope is released on return.
+    /// returns the report.
     pub fn stop(mut self) -> SamplerReport {
         self.stop.stop();
         let (snapshots, lines) = match self.handle.take() {
@@ -197,7 +190,7 @@ fn write_snapshot<W: Write>(
 ) -> io::Result<u64> {
     let at_micros = t0.elapsed().as_micros() as u64;
     let mut lines = 0u64;
-    // race:order(fetch_add keeps seq unique and per-file monotone; samplers serialize via the pulse scope)
+    // race:order(fetch_add keeps seq unique and per-file monotone)
     let mut seq = SEQ.fetch_add(1, Ordering::Relaxed);
     write_line(out, seq, SNAPSHOT_MARKER, ordinal, at_micros)?;
     lines += 1;
@@ -207,7 +200,7 @@ fn write_snapshot<W: Write>(
     let write_errors = errors.load(Ordering::Relaxed);
     write_line(out, seq, WRITE_ERRORS, write_errors, at_micros)?;
     lines += 1;
-    for (name, value) in registry::snapshot() {
+    for (name, value) in jp_obs::live_snapshot() {
         // race:order(same unique-seq allocation as above)
         seq = SEQ.fetch_add(1, Ordering::Relaxed);
         write_line(out, seq, &name, value, at_micros)?;
@@ -246,6 +239,7 @@ fn write_line<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jp_obs::ScopedSink;
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("jp_pulse_sampler_{name}_{}", std::process::id()))
@@ -254,10 +248,12 @@ mod tests {
     #[test]
     fn short_run_still_writes_a_final_snapshot() {
         let path = temp_path("short");
+        let scope = ScopedSink::open(None, true);
         let sampler = Sampler::start(&path, Duration::from_secs(3600)).expect("start");
-        crate::counter_add("test.hits", 7);
-        crate::gauge_set("test.depth", 3);
+        jp_obs::counter("test", "hits", 7);
+        jp_obs::gauge("test", "depth", 3);
         let report = sampler.stop();
+        drop(scope);
         assert!(report.snapshots >= 1, "final snapshot always lands");
         let text = std::fs::read_to_string(&path).expect("pulse file");
         let _ = std::fs::remove_file(&path);
@@ -281,8 +277,9 @@ mod tests {
     #[test]
     fn interval_snapshots_accumulate() {
         let path = temp_path("interval");
+        let _scope = ScopedSink::open(None, true);
         let sampler = Sampler::start(&path, Duration::from_millis(5)).expect("start");
-        crate::counter_add("test.ticks", 1);
+        jp_obs::counter("test", "ticks", 1);
         std::thread::sleep(Duration::from_millis(40));
         let report = sampler.stop();
         let _ = std::fs::remove_file(&path);
@@ -333,9 +330,10 @@ mod tests {
         // /dev/full accepts the open and fails every write with ENOSPC —
         // exactly the failure mode the old `let _ = writer.flush()`
         // swallowed. The report must surface it.
+        let _scope = ScopedSink::open(None, true);
         let sampler = Sampler::start(Path::new("/dev/full"), Duration::from_millis(5))
             .expect("open /dev/full");
-        crate::counter_add("test.full_disk", 1);
+        jp_obs::counter("test", "full_disk", 1);
         std::thread::sleep(Duration::from_millis(20));
         let report = sampler.stop();
         assert!(
@@ -347,8 +345,9 @@ mod tests {
     #[test]
     fn healthy_run_reports_zero_write_errors() {
         let path = temp_path("healthy");
+        let _scope = ScopedSink::open(None, true);
         let sampler = Sampler::start(&path, Duration::from_millis(5)).expect("start");
-        crate::counter_add("test.ok", 1);
+        jp_obs::counter("test", "ok", 1);
         std::thread::sleep(Duration::from_millis(15));
         let report = sampler.stop();
         let _ = std::fs::remove_file(&path);
@@ -358,8 +357,9 @@ mod tests {
     #[test]
     fn seq_is_strictly_increasing_within_a_file() {
         let path = temp_path("seq");
+        let _scope = ScopedSink::open(None, true);
         let sampler = Sampler::start(&path, Duration::from_millis(5)).expect("start");
-        crate::counter_add("test.seq", 1);
+        jp_obs::counter("test", "seq", 1);
         std::thread::sleep(Duration::from_millis(25));
         let _ = sampler.stop();
         let text = std::fs::read_to_string(&path).expect("pulse file");

@@ -11,8 +11,8 @@
 
 use std::sync::Mutex;
 
+use jp_obs::PulseHistogram;
 use jp_pulse::mem::{self, MemScope};
-use jp_pulse::PulseHistogram;
 use proptest::collection::vec;
 use proptest::prelude::*;
 

@@ -39,22 +39,29 @@
 //!
 //! ## Telemetry
 //!
-//! Per request: a `serve.request` jp-obs span, opened when the job
-//! takes its solver slot, with a `serve.queue_wait_us` counter inside it
-//! (admission to slot), a `serve.wire` span for the response write, and
-//! a `serve.latency_us` jp-pulse histogram (p50/p95/p99 in every pulse
-//! snapshot), plus a `serve.queue_depth` gauge: admitted jobs waiting
-//! for a slot. The server schedules no jp-par batches, so its traces
-//! carry no `par.*` events of its own; only a cache miss's portfolio
-//! race emits them. When the client sent a tracing id (see
-//! [`crate::proto::Request::request`]) every one of those events — and
-//! everything the solver emits underneath them — is stamped with it,
-//! which is what `jp trace request <id>` reconstructs. At end of run
-//! the server emits one deterministic set of jp-obs totals
-//! (`serve.completed_total`, `serve.cost_sum`, `serve.errors_total`,
-//! …) — these are what `jp trace check` gates as answer-class
-//! counters. With `--xray-file` set, a [`crate::xray::Xray`] tail
-//! sampler additionally keeps slow/failing requests at full detail.
+//! Every thread of a run — the acceptor and each handler — adopts the
+//! jp-obs ticket taken at [`Server::bind`], so a server joins exactly
+//! the captures its binder was in, and its tail sampler's tap sees only
+//! this server's threads.
+//!
+//! Per request: a `serve.request` span, opened when the job takes its
+//! solver slot, with a `serve.queue_wait_us` counter inside it
+//! (admission to slot), a `serve.wire` span for the response write, one
+//! `serve.completed`, `serve.rejected` or `serve.errors` counter for its
+//! outcome, and a live `serve.latency_us` histogram (p50/p95/p99 in
+//! every pulse snapshot), plus a live `serve.queue_depth` gauge:
+//! admitted jobs waiting for a slot. The server schedules no jp-par
+//! batches, so its traces carry no `par.*` events of its own; only a
+//! cache miss's portfolio race emits them. When the client sent a
+//! tracing id (see [`crate::proto::Request::request`]) every one of
+//! those events — and everything the solver emits underneath them — is
+//! stamped with it, which is what `jp trace request <id>` reconstructs.
+//! For a fixed workload the outcome counters, and the `serve.connections`,
+//! `serve.accepted` and `serve.cost_sum` totals emitted at end of run,
+//! are deterministic: `jp trace check` gates the outcome counters and
+//! the cost sum as answer-class. With `--xray-file` set, a
+//! [`crate::xray::Xray`] tail sampler additionally keeps slow/failing
+//! requests at full detail.
 
 use crate::proto::{
     self, FrameRead, PebbleAlgo, RequestBody, Response, ResponseBody, WIRE_VERSION,
@@ -232,6 +239,13 @@ impl Shared {
     }
 }
 
+/// Counts one request outcome: into its lifetime `total` and as the
+/// `serve.<name>` counter.
+fn tally(total: &AtomicU64, name: &str) {
+    total.fetch_add(1, Ordering::SeqCst);
+    jp_obs::counter("serve", name, 1);
+}
+
 /// Releases one pending slot on drop, so the drain condition returns to
 /// zero however the job ended.
 struct PendingGuard<'a>(&'a Shared);
@@ -276,7 +290,7 @@ impl Slots {
             count.waiting += 1;
             let depth = count.waiting;
             drop(count);
-            jp_pulse::gauge_set("serve.queue_depth", depth as u64);
+            jp_obs::gauge("serve", "queue_depth", depth as u64);
             count = lock(&self.count);
             while count.free == 0 {
                 count = self.freed.wait(count).unwrap_or_else(|e| e.into_inner());
@@ -286,7 +300,7 @@ impl Slots {
         count.free -= 1;
         let depth = count.waiting;
         drop(count);
-        jp_pulse::gauge_set("serve.queue_depth", depth as u64);
+        jp_obs::gauge("serve", "queue_depth", depth as u64);
         SlotGuard(self)
     }
 }
@@ -312,11 +326,16 @@ pub struct Server {
     listener: TcpListener,
     memo: Memo,
     preloaded: usize,
+    /// The captures the binding thread was in; every thread of the run
+    /// adopts it.
+    ticket: jp_obs::Ticket,
 }
 
 impl Server {
     /// Binds the listen socket and warms the memo store from the
-    /// checkpoint file, when one is configured and present.
+    /// checkpoint file, when one is configured and present. Takes the
+    /// calling thread's jp-obs ticket: the run reports into the captures
+    /// this thread is in, whichever thread later calls [`Server::run`].
     // audit:allow(obs-coverage) setup I/O — per-request spans live in execute_job/handle_conn
     pub fn bind(cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(cfg.addr.as_str())?;
@@ -333,6 +352,7 @@ impl Server {
             listener,
             memo,
             preloaded,
+            ticket: jp_obs::ticket(),
         })
     }
 
@@ -353,19 +373,16 @@ impl Server {
     /// and returns the lifetime report.
     // audit:allow(obs-coverage) lifetime loop — emits the end-of-run counter set; per-request spans live in execute_job/handle_conn
     pub fn run(self) -> io::Result<ServeReport> {
-        // When a scoped obs/pulse capture is active (the bench serve
-        // axis runs the server on a spawned thread inside one), join
-        // it so the end-of-run totals below land in the capture. With
-        // no scope active both guards are no-ops.
-        let _obs = jp_obs::adopt();
-        let _pulse = jp_pulse::adopt();
+        let _adopt = jp_obs::adopt(self.ticket);
         self.listener.set_nonblocking(true)?;
         let shared = Shared::new(self.cfg.threads);
         let cfg = &self.cfg;
         let memo = &self.memo;
-        // Tail sampler: installed as the jp-obs *tap* so it rides
-        // alongside (never instead of) a full --trace capture. The
-        // guard uninstalls it before the report reads its counters.
+        // Tail sampler: installed as a jp-obs *tap* so it rides
+        // alongside (never instead of) a full --trace capture. This
+        // thread joins it, and the handlers below adopt this thread's
+        // ticket, so it sees this server's requests and no one else's.
+        // The guard uninstalls it before the report reads its counters.
         let xray = match &cfg.xray_file {
             Some(path) => Some(std::sync::Arc::new(Xray::create(XrayConfig {
                 slow_us: cfg.slow_us,
@@ -399,17 +416,11 @@ impl Server {
             downsampled: xray.as_ref().map_or(0, |x| x.downsampled()),
             xray_dropped: xray.as_ref().map_or(0, |x| x.dropped()),
         };
-        // One deterministic set of end-of-run totals: for a fixed
-        // workload these are identical run to run (the per-request
-        // spans above them are timing and scheduling, gated softly).
-        if jp_obs::enabled() {
-            jp_obs::counter("serve", "connections", report.connections);
-            jp_obs::counter("serve", "accepted", report.accepted);
-            jp_obs::counter("serve", "completed_total", report.completed);
-            jp_obs::counter("serve", "rejected_total", report.rejected);
-            jp_obs::counter("serve", "errors_total", report.errors);
-            jp_obs::counter("serve", "cost_sum", report.cost_sum);
-        }
+        // End-of-run totals the per-request counters do not carry: for
+        // a fixed workload these are identical run to run.
+        jp_obs::counter("serve", "connections", report.connections);
+        jp_obs::counter("serve", "accepted", report.accepted);
+        jp_obs::counter("serve", "cost_sum", report.cost_sum);
         if let Some(path) = &cfg.memo_file {
             // atomic temp+rename checkpoint: a crash mid-save (or a
             // kill -9) leaves the previous checkpoint intact
@@ -420,8 +431,9 @@ impl Server {
 }
 
 /// The acceptor: polls the non-blocking listener, spawns a handler
-/// per connection, and initiates shutdown when the `max_requests`
-/// bound fires. Returns once shutdown is flagged.
+/// per connection (each adopting the acceptor's ticket), and initiates
+/// shutdown when the `max_requests` bound fires. Returns once shutdown
+/// is flagged.
 fn accept_loop<'scope, 'env>(
     listener: &'scope TcpListener,
     s: &'scope std::thread::Scope<'scope, 'env>,
@@ -430,6 +442,7 @@ fn accept_loop<'scope, 'env>(
     cfg: &'scope ServeConfig,
     xray: Option<&'scope Xray>,
 ) {
+    let ticket = jp_obs::ticket();
     while !shared.shutting_down() {
         if cfg.max_requests > 0 && shared.completed.load(Ordering::SeqCst) >= cfg.max_requests {
             shared.begin_shutdown();
@@ -438,13 +451,16 @@ fn accept_loop<'scope, 'env>(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 shared.connections.fetch_add(1, Ordering::SeqCst);
-                s.spawn(move || handle_conn(stream, shared, memo, cfg, xray));
+                s.spawn(move || {
+                    let _adopt = jp_obs::adopt(ticket);
+                    handle_conn(stream, shared, memo, cfg, xray)
+                });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
                 // a broken listener cannot serve anyone: drain and exit
-                shared.errors.fetch_add(1, Ordering::SeqCst);
+                tally(&shared.errors, "errors");
                 shared.begin_shutdown();
             }
         }
@@ -461,15 +477,13 @@ fn handle_conn(
     cfg: &ServeConfig,
     xray: Option<&Xray>,
 ) {
-    let _obs = jp_obs::adopt();
-    let _pulse = jp_pulse::adopt();
     if stream.set_nonblocking(false).is_err()
         || stream.set_read_timeout(Some(HANDLER_READ_TIMEOUT)).is_err()
         || stream
             .set_write_timeout(Some(HANDLER_WRITE_TIMEOUT))
             .is_err()
     {
-        shared.errors.fetch_add(1, Ordering::SeqCst);
+        tally(&shared.errors, "errors");
         return;
     }
     // a buffered reader usually takes a whole frame, header and payload,
@@ -486,15 +500,14 @@ fn handle_conn(
                 continue;
             }
             Err(_) => {
-                shared.errors.fetch_add(1, Ordering::SeqCst);
+                tally(&shared.errors, "errors");
                 return;
             }
         };
         let (id, request, body) = match proto::parse_request(&payload) {
             Ok(req) => (req.id, req.request, req.body),
             Err(reason) => {
-                shared.errors.fetch_add(1, Ordering::SeqCst);
-                jp_pulse::counter_add("serve.errors", 1);
+                tally(&shared.errors, "errors");
                 if respond(&stream, 0, ResponseBody::Error { reason }).is_err() {
                     return;
                 }
@@ -502,8 +515,9 @@ fn handle_conn(
             }
         };
         // Stamp every event this request causes with its tracing id; the
-        // solve runs on this thread too. Dropped at loop end.
-        let _req = jp_obs::with_request(request);
+        // solve runs on this thread too. Dropped once the answer is on
+        // the wire, so a failed write counts as a connection error.
+        let req = jp_obs::with_request(request);
         let t0 = Instant::now();
         let reply = match body {
             RequestBody::Ping => ResponseBody::Pong,
@@ -526,8 +540,9 @@ fn handle_conn(
         if let (Some(x), Some(rid)) = (xray, request) {
             x.finish(rid, micros(t0.elapsed()), failed || wrote.is_err());
         }
+        drop(req);
         if wrote.is_err() {
-            shared.errors.fetch_add(1, Ordering::SeqCst);
+            tally(&shared.errors, "errors");
             return;
         }
     }
@@ -543,13 +558,11 @@ fn admit(
     solve: impl FnOnce() -> ResponseBody,
 ) -> ResponseBody {
     if shared.shutting_down() {
-        shared.rejected.fetch_add(1, Ordering::SeqCst);
-        jp_pulse::counter_add("serve.rejected", 1);
+        tally(&shared.rejected, "rejected");
         return ResponseBody::ShuttingDown;
     }
     if edges > cfg.max_edges {
-        shared.rejected.fetch_add(1, Ordering::SeqCst);
-        jp_pulse::counter_add("serve.rejected", 1);
+        tally(&shared.rejected, "rejected");
         return ResponseBody::Rejected {
             reason: format!(
                 "graph has {edges} edges, above the --max-edges cap of {}",
@@ -558,8 +571,7 @@ fn admit(
         };
     }
     if !shared.try_admit(cfg.max_pending) {
-        shared.rejected.fetch_add(1, Ordering::SeqCst);
-        jp_pulse::counter_add("serve.rejected", 1);
+        tally(&shared.rejected, "rejected");
         return ResponseBody::Rejected {
             reason: format!(
                 "{} jobs already pending, the --max-pending admission bound; retry later",
@@ -630,20 +642,13 @@ fn execute_job(
     };
     match &body {
         ResponseBody::Cost { cost, .. } => {
-            shared.completed.fetch_add(1, Ordering::SeqCst);
             shared.cost_sum.fetch_add(*cost, Ordering::SeqCst);
-            jp_pulse::counter_add("serve.completed", 1);
+            tally(&shared.completed, "completed");
         }
-        ResponseBody::Rejected { .. } => {
-            shared.rejected.fetch_add(1, Ordering::SeqCst);
-            jp_pulse::counter_add("serve.rejected", 1);
-        }
-        _ => {
-            shared.errors.fetch_add(1, Ordering::SeqCst);
-            jp_pulse::counter_add("serve.errors", 1);
-        }
+        ResponseBody::Rejected { .. } => tally(&shared.rejected, "rejected"),
+        _ => tally(&shared.errors, "errors"),
     }
-    jp_pulse::observe("serve.latency_us", micros);
+    jp_obs::observe("serve", "latency_us", micros);
     body
 }
 

@@ -27,9 +27,11 @@
 //!   buffered spans are severed, so each flushed request is
 //!   self-contained and `jp trace request` reconstructs it COMPLETE
 //!   without the surrounding full trace;
-//! * reports itself through jp-pulse: the `xray.ring_requests` gauge
-//!   (buffer occupancy) and the `xray.exemplars` /
-//!   `xray.dropped_requests` counters.
+//! * reports itself through live jp-obs gauges: `xray.ring_requests`
+//!   (buffer occupancy) and the running `xray.exemplars` and
+//!   `xray.dropped_requests` totals. Gauges, not counters: a counter
+//!   would also be an event, and this sampler must not feed the stream
+//!   it samples.
 //!
 //! The output file is ordinary schema-v2 JSONL, so `jp trace request`,
 //! `jp trace flame --request`, and every other trace reader consume it
@@ -96,8 +98,9 @@ impl Ring {
     }
 }
 
-/// The tail sampler. One per [`crate::Server`] lifetime; installed as
-/// the process-wide jp-obs tap for the duration of `run`.
+/// The tail sampler. One per [`crate::Server`] lifetime; installed as a
+/// jp-obs tap for the duration of `run`, which only that server's
+/// threads are members of.
 pub struct Xray {
     cfg: XrayConfig,
     ring: Mutex<Ring>,
@@ -160,7 +163,7 @@ impl Xray {
             let events = ring.take(request);
             (events, ring.order.len() as u64)
         };
-        jp_pulse::gauge_set("xray.ring_requests", occupancy);
+        jp_obs::gauge("xray", "ring_requests", occupancy);
         let Some(events) = events else {
             // evicted before it finished (already counted), or the
             // request predates the sampler — nothing to decide
@@ -206,8 +209,8 @@ impl Xray {
         }
         if exemplar {
             // race:order(monotone accounting counter, no ordering dependency)
-            self.exemplars.fetch_add(1, Ordering::Relaxed);
-            jp_pulse::counter_add("xray.exemplars", 1);
+            let total = self.exemplars.fetch_add(1, Ordering::Relaxed) + 1;
+            jp_obs::gauge("xray", "exemplars", total);
         } else {
             // race:order(monotone accounting counter, no ordering dependency)
             self.downsampled.fetch_add(1, Ordering::Relaxed);
@@ -230,10 +233,10 @@ impl Sink for Xray {
         };
         if evicted > 0 {
             // race:order(monotone accounting counter, no ordering dependency)
-            self.dropped.fetch_add(evicted, Ordering::Relaxed);
-            jp_pulse::counter_add("xray.dropped_requests", evicted);
+            let total = self.dropped.fetch_add(evicted, Ordering::Relaxed) + evicted;
+            jp_obs::gauge("xray", "dropped_requests", total);
         }
-        jp_pulse::gauge_set("xray.ring_requests", occupancy);
+        jp_obs::gauge("xray", "ring_requests", occupancy);
     }
 }
 
@@ -374,7 +377,7 @@ mod tests {
             path,
         })
         .expect("create");
-        xr.record(&Event::counter("serve", "completed_total", 7));
+        xr.record(&Event::counter("serve", "cost_sum", 7));
         let ring = lock(&xr.ring);
         assert!(ring.buf.is_empty());
     }

@@ -8,7 +8,6 @@ use jp_serve::loadgen::{expected_costs, query_pool, run_loadgen, LoadgenConfig};
 use jp_serve::proto::{PebbleAlgo, Request, RequestBody, ResponseBody, WIRE_VERSION};
 use jp_serve::{Client, ServeConfig, ServeReport, Server};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
 
 /// Binds a server on an ephemeral loopback port and runs it on a
 /// spawned thread; returns the address and the join handle.
@@ -24,15 +23,6 @@ fn start_server(
     (addr, handle)
 }
 
-/// Serializes the tests that run a server. The xray sampler is the
-/// process-wide jp-obs tap, so while one test's sampler is installed it
-/// also buffers the request-stamped events of any other test's server,
-/// and counts them as dropped when they never finish there.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("jp-serve-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -42,7 +32,6 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn concurrent_load_gets_sequential_answers_and_a_clean_drain() {
-    let _serial = serial();
     // eight clients into one solver slot, into two, and into one slot
     // each
     for threads in [1, 2, 8] {
@@ -86,7 +75,6 @@ fn concurrent_load_gets_sequential_answers_and_a_clean_drain() {
 
 #[test]
 fn oversized_graphs_are_rejected_with_the_flag_named() {
-    let _serial = serial();
     let (addr, handle) = start_server(ServeConfig {
         max_edges: 5,
         ..ServeConfig::default()
@@ -114,7 +102,6 @@ fn oversized_graphs_are_rejected_with_the_flag_named() {
 
 #[test]
 fn the_pending_bound_rejects_rather_than_queueing_without_limit() {
-    let _serial = serial();
     // max_pending = 0: no pebble job can ever claim a slot, so every
     // one must bounce with the admission reason — never hang, never
     // queue.
@@ -145,7 +132,6 @@ fn the_pending_bound_rejects_rather_than_queueing_without_limit() {
 
 #[test]
 fn budget_exhaustion_is_back_pressure_not_an_error() {
-    let _serial = serial();
     let (addr, handle) = start_server(ServeConfig {
         budget: 1, // one node: any real bb search exhausts immediately
         ..ServeConfig::default()
@@ -168,7 +154,6 @@ fn budget_exhaustion_is_back_pressure_not_an_error() {
 
 #[test]
 fn wire_version_mismatch_is_answered_not_dropped() {
-    let _serial = serial();
     let (addr, handle) = start_server(ServeConfig::default());
     // speak the framing by hand so we can lie about the version
     let mut stream = std::net::TcpStream::connect(addr.as_str()).expect("connect");
@@ -202,7 +187,6 @@ fn wire_version_mismatch_is_answered_not_dropped() {
 
 #[test]
 fn warm_restart_serves_the_second_pass_from_the_checkpoint() {
-    let _serial = serial();
     let dir = fresh_dir("warm");
     let memo_file = dir.join("memo.jsonl");
 
@@ -252,7 +236,6 @@ fn warm_restart_serves_the_second_pass_from_the_checkpoint() {
 
 #[test]
 fn the_tail_sampler_keeps_slow_requests_and_downsamples_fast_ones() {
-    let _serial = serial();
     let dir = fresh_dir("xray");
 
     // first lifetime: a 0µs threshold makes every request an exemplar
@@ -322,6 +305,83 @@ fn the_tail_sampler_keeps_slow_requests_and_downsamples_fast_ones() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Sends one pebble request stamped with tracing id `request` over a
+/// connection of its own and returns the answer.
+fn pebble_traced_as(addr: &str, request: u64, graph: jp_graph::BipartiteGraph) -> ResponseBody {
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    let req = Request {
+        v: WIRE_VERSION,
+        id: 1,
+        request: Some(request),
+        body: RequestBody::Pebble {
+            graph,
+            algo: PebbleAlgo::Auto,
+        },
+    };
+    jp_serve::proto::write_message(&mut stream, &req).expect("write");
+    match jp_serve::proto::read_frame(&mut stream).expect("read") {
+        jp_serve::proto::FrameRead::Frame(p) => {
+            jp_serve::proto::parse_response(&p).expect("parse").body
+        }
+        other => panic!("expected a frame, got {other:?}"),
+    }
+}
+
+#[test]
+fn two_servers_in_one_process_keep_their_xray_files_apart() {
+    let dir = fresh_dir("two-xrays");
+    let start = |file: &str| {
+        start_server(ServeConfig {
+            slow_us: 0,
+            xray_file: Some(dir.join(file)),
+            ..ServeConfig::default()
+        })
+    };
+    let (addr_a, handle_a) = start("a.jsonl");
+    let (addr_b, handle_b) = start("b.jsonl");
+    // The same tracing ids on both servers, B first: a sampler that also
+    // buffered the other server's events would flush them with its own
+    // request of the same id.
+    let ids = [7_001u64, 7_002, 7_003];
+    for id in ids {
+        for addr in [&addr_b, &addr_a] {
+            let body = pebble_traced_as(addr, id, jp_graph::generators::spider(5));
+            assert!(matches!(body, ResponseBody::Cost { .. }), "{body:?}");
+        }
+    }
+    for (addr, handle, file) in [(addr_a, handle_a, "a.jsonl"), (addr_b, handle_b, "b.jsonl")] {
+        let mut client = Client::connect(addr.as_str()).expect("connect");
+        let _ = client.request(RequestBody::Shutdown).expect("shutdown");
+        let served = handle.join().expect("server thread").expect("server run");
+        // every request is an exemplar at slow_us=0, the shutdown too
+        assert_eq!(served.exemplars, ids.len() as u64 + 1, "{file}: {served:?}");
+        assert_eq!(served.xray_dropped, 0, "{file}: {served:?}");
+        let text = std::fs::read_to_string(dir.join(file)).expect("xray file");
+        for id in ids {
+            let stamp = format!("\"request\":{id}}}");
+            let count = |name: &str| {
+                text.lines()
+                    .filter(|l| l.ends_with(&stamp) && l.contains(name))
+                    .count()
+            };
+            assert_eq!(
+                count("\"name\":\"request\""),
+                1,
+                "{file}, request {id}:\n{text}"
+            );
+            assert_eq!(
+                count("\"name\":\"wire\""),
+                1,
+                "{file}, request {id}:\n{text}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn the_verification_pool_is_deterministic_and_solvable() {
     // the loadgen's ground truth must itself be stable: same pool,
@@ -337,7 +397,6 @@ fn the_verification_pool_is_deterministic_and_solvable() {
 
 #[test]
 fn max_requests_bound_shuts_the_server_down_by_itself() {
-    let _serial = serial();
     let (addr, handle) = start_server(ServeConfig {
         max_requests: 5,
         ..ServeConfig::default()

@@ -6,9 +6,12 @@
 //! drift is a real behavioural change — but not all counters are equal.
 //! [`check_against`] classifies every `component.name` key:
 //!
-//! * **Answer** keys (`portfolio.winner_cost`, `portfolio.floor`) admit
+//! * **Answer** keys (`portfolio.winner_cost`, `portfolio.floor`, and
+//!   jp-serve's `serve.cost_sum` and request-outcome counters) admit
 //!   zero tolerance: any difference is a **hard** finding — the solver
-//!   changed its output or its certified bound.
+//!   changed its output or its certified bound. An answer key missing on
+//!   one side counts as zero there, so a `serve.errors` count that a
+//!   clean baseline never emitted still fails the check.
 //! * **Scheduling** keys (`par.*`, `portfolio.winner.*`,
 //!   `portfolio.completed` / `abandoned`, `exact.abandoned_at_mask`)
 //!   depend on thread interleaving; drift is reported as **soft** (never
@@ -201,13 +204,10 @@ enum Class {
 fn class_of(key: &str) -> Class {
     match key {
         "portfolio.winner_cost" | "portfolio.floor" => Class::Answer,
-        // jp-serve end-of-run totals: for a fixed workload these are
-        // exact invariants of the serving stack — any drift means a
-        // lost, failed, or wrongly answered request
-        "serve.cost_sum"
-        | "serve.completed_total"
-        | "serve.errors_total"
-        | "serve.rejected_total" => Class::Answer,
+        // jp-serve request outcomes and the cost sum: for a fixed
+        // workload these are exact invariants of the serving stack — any
+        // drift means a lost, failed, or wrongly answered request
+        "serve.cost_sum" | "serve.completed" | "serve.errors" | "serve.rejected" => Class::Answer,
         "portfolio.completed" | "portfolio.abandoned" | "exact.abandoned_at_mask" => {
             Class::Scheduling
         }
@@ -235,6 +235,11 @@ fn compare_key(
         Class::Scheduling
     } else {
         class_of(key)
+    };
+    let (baseline, observed) = match class {
+        // counters are emitted only when nonzero: absent means zero
+        Class::Answer => (baseline.or(Some(0)), observed.or(Some(0))),
+        _ => (baseline, observed),
     };
     match (baseline, observed) {
         (Some(b), Some(o)) if b == o => {}
@@ -504,6 +509,18 @@ mod tests {
         let run = Analysis::from_events(&[counter_event(0, ("portfolio", "winner_cost"), 25)]);
         let report = check_against(&case, &run, &Tolerances::default());
         assert!(report.has_hard());
+    }
+
+    #[test]
+    fn an_answer_counter_absent_from_the_baseline_counts_as_zero() {
+        let case = baseline_case(&[("serve.completed", 100)]);
+        let run = Analysis::from_events(&[
+            counter_event(0, ("serve", "completed"), 100),
+            counter_event(1, ("serve", "errors"), 1),
+        ]);
+        let report = check_against(&case, &run, &Tolerances::default());
+        assert!(report.has_hard(), "{}", report.render());
+        assert!(report.render().contains("serve.errors"));
     }
 
     #[test]
