@@ -5,7 +5,7 @@
 //! zero-dependency, and this is all the configuration surface it needs.
 //!
 //! ```toml
-//! [panic-freedom]
+//! [obs-coverage]
 //! level = "deny"
 //! paths = ["crates/core/src/exact.rs", "crates/core/src/approx/"]
 //! ```
@@ -245,7 +245,7 @@ mod tests {
         let c = Config::parse(
             r#"
 # top comment
-[panic-freedom]
+[obs-coverage]
 level = "warn"   # trailing comment
 paths = ["a.rs",
          "b/"]
@@ -256,9 +256,9 @@ enabled = true
 "#,
         )
         .unwrap();
-        let pf = c.rule("panic-freedom");
-        assert_eq!(pf.level(), Level::Warn);
-        assert_eq!(pf.list("paths"), ["a.rs".to_string(), "b/".to_string()]);
+        let oc = c.rule("obs-coverage");
+        assert_eq!(oc.level(), Level::Warn);
+        assert_eq!(oc.list("paths"), ["a.rs".to_string(), "b/".to_string()]);
         assert_eq!(c.rule("doc-drift").str("readme"), Some("README.md"));
         assert_eq!(c.rule("absent").level(), Level::Deny);
     }

@@ -2,7 +2,7 @@
 
 use crate::config::{Config, Level};
 use crate::report::{self, Violation};
-use crate::rules::{self, claims, doc_drift, obs_coverage, panic_freedom, race, unsafe_freedom};
+use crate::rules::{self, claims, doc_drift, obs_coverage, race};
 use crate::source::{collect_rs_files, rel_str, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -54,25 +54,11 @@ pub fn run(root: &Path, config: &Config) -> std::io::Result<Outcome> {
     let mut raw: Vec<Violation> = Vec::new();
     let mut matrix = None;
 
-    // panic-freedom over its configured module scope
-    let pf = config.rule(panic_freedom::NAME);
-    if pf.level() != Level::Allow {
-        for f in files
-            .iter()
-            .filter(|f| panic_freedom::in_scope(&f.rel_path, pf.list("paths")))
-        {
-            panic_freedom::check(f, &mut raw);
-        }
-    }
-
     // obs-coverage + component cross-check
     let oc = config.rule(obs_coverage::NAME);
     if oc.level() != Level::Allow {
         let mut seen = BTreeSet::new();
-        for f in files
-            .iter()
-            .filter(|f| panic_freedom::in_scope(&f.rel_path, oc.list("paths")))
-        {
+        for f in files.iter().filter(|f| f.in_scope(oc.list("paths"))) {
             obs_coverage::check(f, &mut seen, &mut raw);
         }
         obs_coverage::check_components(oc.list("components"), &seen, "audit.toml", &mut raw);
@@ -91,15 +77,6 @@ pub fn run(root: &Path, config: &Config) -> std::io::Result<Outcome> {
         matrix = Some(claims::matrix(&idx, ct.list("headline")));
     }
 
-    // unsafe-freedom everywhere + compiler-backed crate roots
-    let uf = config.rule(unsafe_freedom::NAME);
-    if uf.level() != Level::Allow {
-        for f in &files {
-            unsafe_freedom::check(f, &mut raw);
-        }
-        unsafe_freedom::check_crate_roots(uf.list("crate_roots"), &files, &mut raw);
-    }
-
     // doc-drift between the flag-parsing sources and the README,
     // both directions: undocumented flags and stale README rows
     let dd = config.rule(doc_drift::NAME);
@@ -110,10 +87,7 @@ pub fn run(root: &Path, config: &Config) -> std::io::Result<Outcome> {
             dd.list("srcs").to_vec()
         };
         let mut flags = BTreeMap::new();
-        for f in files
-            .iter()
-            .filter(|f| panic_freedom::in_scope(&f.rel_path, &srcs))
-        {
+        for f in files.iter().filter(|f| f.in_scope(&srcs)) {
             doc_drift::collect_flags(f, &mut flags);
         }
         let readme_path = dd.str("readme").unwrap_or("README.md");
@@ -143,7 +117,7 @@ pub fn run(root: &Path, config: &Config) -> std::io::Result<Outcome> {
         for (idx, f) in files.iter().enumerate() {
             let wanted = race_rules
                 .iter()
-                .any(|r| r.level() != Level::Allow && race::in_scope(&f.rel_path, r.list("paths")));
+                .any(|r| r.level() != Level::Allow && f.in_scope(r.list("paths")));
             if wanted {
                 models.push((idx, race::extract(f, &forbidden)));
             }
@@ -151,7 +125,7 @@ pub fn run(root: &Path, config: &Config) -> std::io::Result<Outcome> {
         if ao.level() != Level::Allow {
             for (idx, m) in &models {
                 let f = &files[*idx];
-                if race::in_scope(&f.rel_path, ao.list("paths")) {
+                if f.in_scope(ao.list("paths")) {
                     race::check_atomic_ordering(f, m, &mut raw);
                 }
             }
@@ -161,7 +135,7 @@ pub fn run(root: &Path, config: &Config) -> std::io::Result<Outcome> {
             let graph = race::lock_graph(
                 models
                     .iter()
-                    .filter(|(idx, _)| race::in_scope(&files[*idx].rel_path, lo.list("paths")))
+                    .filter(|(idx, _)| files[*idx].in_scope(lo.list("paths")))
                     .map(|(idx, m)| (files[*idx].rel_path.as_str(), m)),
             );
             race::check_lock_order(&graph, &mut raw);
@@ -172,7 +146,7 @@ pub fn run(root: &Path, config: &Config) -> std::io::Result<Outcome> {
         if gc.level() != Level::Allow {
             for (idx, m) in &models {
                 let f = &files[*idx];
-                if race::in_scope(&f.rel_path, gc.list("paths")) {
+                if f.in_scope(gc.list("paths")) {
                     race::check_guard_across_call(f, m, &mut raw);
                 }
             }
@@ -180,7 +154,7 @@ pub fn run(root: &Path, config: &Config) -> std::io::Result<Outcome> {
         if sc.level() != Level::Allow {
             for (idx, m) in &models {
                 let f = &files[*idx];
-                if race::in_scope(&f.rel_path, sc.list("paths")) {
+                if f.in_scope(sc.list("paths")) {
                     race::check_spawn_containment(f, m, &mut raw);
                 }
             }

@@ -346,50 +346,6 @@ fn is_ident_continue(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Rust keywords that can directly precede `[` without forming an index
-/// expression (`let [a, b] = …`, `in [1, 2]`, `return [x]`, …). Used by
-/// the panic-freedom rule to avoid false positives on slice patterns and
-/// array expressions.
-pub fn is_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "as" | "async"
-            | "await"
-            | "box"
-            | "break"
-            | "const"
-            | "continue"
-            | "crate"
-            | "dyn"
-            | "else"
-            | "enum"
-            | "extern"
-            | "fn"
-            | "for"
-            | "if"
-            | "impl"
-            | "in"
-            | "let"
-            | "loop"
-            | "match"
-            | "mod"
-            | "move"
-            | "mut"
-            | "pub"
-            | "ref"
-            | "return"
-            | "static"
-            | "struct"
-            | "trait"
-            | "type"
-            | "unsafe"
-            | "use"
-            | "where"
-            | "while"
-            | "yield"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `jp-audit` — workspace-native static analysis for the
 //! join-predicates repo.
 //!
@@ -6,14 +5,12 @@
 //! claims; this crate is the machinery that keeps code and correctness
 //! argument connected as the codebase refactors. It is a zero-dependency
 //! token-level analyzer (own lexer, no `syn` — the workspace builds
-//! fully offline) enforcing nine repo invariants as lints:
+//! fully offline) enforcing the repo invariants the compiler cannot see:
 //!
 //! | rule | invariant |
 //! |---|---|
-//! | `panic-freedom` | solver modules contain no reachable panic site |
 //! | `obs-coverage` | every public solver entrypoint opens a `jp-obs` span |
 //! | `claim-traceability` | `CLAIM(..)` tags are real and headline claims are tested |
-//! | `unsafe-freedom` | no `unsafe`, compiler-backed by `#![forbid(unsafe_code)]` |
 //! | `doc-drift` | CLI flags and README tables agree, both directions |
 //! | `atomic-ordering` | non-`SeqCst` orderings carry `// race:order(<why>)` notes |
 //! | `lock-order` | the global lock-acquisition graph is acyclic |
@@ -26,7 +23,12 @@
 //! checked as a whole. Rules are configured in `audit.toml` (per-rule
 //! `deny`/`warn`/`allow`), with inline escape hatches of the form
 //! `// audit:allow(<rule>) <reason>` — a reasonless annotation is itself
-//! a finding (`allow-annotation`). Run as:
+//! a finding (`allow-annotation`, the eighth rule).
+//!
+//! Panic- and unsafe-freedom are not audit rules: clippy enforces the
+//! first through `deny(clippy::unwrap_used, …)` attributes on the solver,
+//! join, telemetry and serving modules, and rustc the second through the
+//! workspace's `unsafe_code = "forbid"` lint. Run as:
 //!
 //! ```text
 //! cargo run -p jp-audit -- check     # lint + regenerate figures/claims_matrix.md

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `jp-audit` command line: `check`, `matrix`, `rules`.
 
 use jp_audit::{config::Config, engine, Level};

@@ -6,7 +6,7 @@ use std::fmt;
 /// One rule finding, anchored to a file and 1-based line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// The rule that fired (e.g. `panic-freedom`).
+    /// The rule that fired (e.g. `obs-coverage`).
     pub rule: String,
     /// Repo-relative `/`-separated path.
     pub file: String,

@@ -8,20 +8,16 @@
 pub mod claims;
 pub mod doc_drift;
 pub mod obs_coverage;
-pub mod panic_freedom;
 pub mod race;
-pub mod unsafe_freedom;
 
 /// Name of the meta-rule covering the escape hatches themselves:
 /// `audit:allow` annotations must name a real rule and state a reason.
 pub const ALLOW_ANNOTATION: &str = "allow-annotation";
 
 /// All rule names, in reporting order.
-pub const ALL: [&str; 10] = [
-    panic_freedom::NAME,
+pub const ALL: [&str; 8] = [
     obs_coverage::NAME,
     claims::NAME,
-    unsafe_freedom::NAME,
     doc_drift::NAME,
     race::ATOMIC_ORDERING,
     race::LOCK_ORDER,

@@ -647,12 +647,6 @@ fn chain_end(body: &[&Token], mut after: usize) -> (usize, bool) {
 // Rule checks
 // ---------------------------------------------------------------------
 
-/// Whether `rel` falls under one of the configured path scopes (same
-/// semantics as the panic-freedom rule: exact file or `dir/` prefix).
-pub fn in_scope(rel: &str, paths: &[String]) -> bool {
-    crate::rules::panic_freedom::in_scope(rel, paths)
-}
-
 /// `atomic-ordering`: every non-`SeqCst` ordering is justified, every
 /// note has a reason, every note covers something.
 pub fn check_atomic_ordering(file: &SourceFile, model: &FileModel, out: &mut Vec<Violation>) {

@@ -4,9 +4,9 @@
 //! derived views the rules share:
 //!
 //! * **test regions** — line spans covered by `#[test]` / `#[cfg(test)]`
-//!   items, found by token scanning with brace matching. Panic-freedom
-//!   and obs-coverage skip them (tests assert by panicking; that is
-//!   their job);
+//!   items, found by token scanning with brace matching. Obs-coverage,
+//!   doc-drift and the race rules skip them, and claim tags inside them
+//!   count as test citations;
 //! * **allow annotations** — `// audit:allow(<rule>) reason` escape
 //!   hatches. An annotation suppresses findings of `<rule>` on its own
 //!   line and the next code line; a missing reason is itself reported
@@ -92,6 +92,14 @@ impl SourceFile {
             claims,
             orders,
         }
+    }
+
+    /// Whether this file falls under one of a rule's configured `paths`
+    /// (exact file, or directory prefix written with a trailing `/`).
+    pub fn in_scope(&self, paths: &[String]) -> bool {
+        paths.iter().any(|p| {
+            self.rel_path == *p || (p.ends_with('/') && self.rel_path.starts_with(p.as_str()))
+        })
     }
 
     /// Whether 1-based `line` lies in a `#[test]` / `#[cfg(test)]` item.
@@ -345,13 +353,13 @@ mod tests {
 
     #[test]
     fn allow_and_claim_annotations_are_parsed() {
-        let src = "// audit:allow(panic-freedom) index bounded by construction\n\
-                   let x = v[0];\n\
+        let src = "// audit:allow(spawn-containment) joined by the caller\n\
+                   let h = std::thread::spawn(f);\n\
                    // CLAIM(L2.1, C2.1): bound window\n\
                    // audit:allow(obs-coverage)\n\
                    fn f() {}\n";
         let f = SourceFile::new("x.rs".into(), src);
-        assert!(f.allowed("panic-freedom", 2));
+        assert!(f.allowed("spawn-containment", 2));
         assert!(!f.allowed("obs-coverage", 5), "reasonless allow is inert");
         assert_eq!(f.claims.len(), 2);
         assert_eq!(f.claims[0].id, "L2.1");

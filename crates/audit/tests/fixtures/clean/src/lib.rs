@@ -1,3 +1,2 @@
-#![forbid(unsafe_code)]
 pub mod cli;
 pub mod solver;

@@ -1,5 +1,5 @@
-//! A fully-conforming solver module: instrumented, panic-free,
-//! annotated where exempt, and citing its headline claim from a test.
+//! A fully-conforming solver module: instrumented, annotated where
+//! exempt, and citing its headline claim from a test.
 
 pub fn solve(v: &[u32]) -> u32 {
     let _s = jp_obs::span("solver", "solve");

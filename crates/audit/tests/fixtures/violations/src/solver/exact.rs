@@ -2,18 +2,18 @@
 //! rule/file/line findings; keep the line numbers stable.
 
 pub fn solve(v: &[u32]) -> u32 {
-    let first = v.first().unwrap();
-    first + v[1]
+    let first = v.first().copied().unwrap_or(0);
+    first + v.len() as u32
 }
 
-// audit:allow(panic-freedom)
+// audit:allow(obs-coverage)
 pub fn annotated_without_reason(v: &[u32]) -> u32 {
-    v[0]
+    v.iter().sum()
 }
 
 // audit:allow(no-such-rule) the rule name is wrong
 fn helper() -> u32 {
-    unsafe { 0 }
+    0
 }
 
 // CLAIM(T9.9) phantom: not in the fixture paper

@@ -43,26 +43,15 @@ fn violations_fixture_reports_exact_findings() {
         ("audit.toml", 1, "obs-coverage"),
         // --budget is parsed but absent from the README
         ("src/cli/run.rs", 5, "doc-drift"),
-        // crate root lacks #![forbid(unsafe_code)]
-        ("src/lib.rs", 1, "unsafe-freedom"),
-        // configured crate root that does not exist
-        ("src/missing.rs", 1, "unsafe-freedom"),
         // pub fn `solve` opens no span
         ("src/solver/exact.rs", 4, "obs-coverage"),
-        // the seeded .unwrap()
-        ("src/solver/exact.rs", 5, "panic-freedom"),
-        // v[1]
-        ("src/solver/exact.rs", 6, "panic-freedom"),
         // audit:allow with no reason
         ("src/solver/exact.rs", 9, "allow-annotation"),
-        // pub fn `annotated_without_reason` opens no span
+        // pub fn `annotated_without_reason` opens no span — the
+        // reason-less annotation does not suppress it
         ("src/solver/exact.rs", 10, "obs-coverage"),
-        // v[0] — the reason-less annotation does not suppress it
-        ("src/solver/exact.rs", 11, "panic-freedom"),
         // audit:allow naming an unknown rule
         ("src/solver/exact.rs", 14, "allow-annotation"),
-        // the unsafe block
-        ("src/solver/exact.rs", 16, "unsafe-freedom"),
         // CLAIM(T9.9) cites an ID the paper does not contain
         ("src/solver/exact.rs", 19, "claim-traceability"),
     ]
@@ -97,18 +86,18 @@ fn warn_level_findings_do_not_fail_the_run() {
 #[test]
 fn allow_level_disables_a_rule_entirely() {
     let silenced = fixture_config("violations").replace(
-        "[panic-freedom]\nlevel = \"deny\"",
-        "[panic-freedom]\nlevel = \"allow\"",
+        "[obs-coverage]\nlevel = \"deny\"",
+        "[obs-coverage]\nlevel = \"allow\"",
     );
     let outcome = run_engine("violations", &silenced);
     assert!(outcome
         .violations
         .iter()
-        .all(|(_, v)| v.rule != "panic-freedom"));
+        .all(|(_, v)| v.rule != "obs-coverage"));
 }
 
 #[test]
-fn binary_fails_on_the_seeded_unwrap_fixture() {
+fn binary_fails_on_the_seeded_violations_fixture() {
     let out = Command::new(env!("CARGO_BIN_EXE_jp-audit"))
         .args(["check", "--root"])
         .arg(fixture("violations"))
@@ -117,10 +106,11 @@ fn binary_fails_on_the_seeded_unwrap_fixture() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!out.status.success(), "must exit non-zero:\n{stdout}");
     assert!(
-        stdout.contains("src/solver/exact.rs:5: [panic-freedom] call to `.unwrap()`"),
+        stdout
+            .contains("src/solver/exact.rs:14: [allow-annotation] audit:allow names unknown rule"),
         "{stdout}"
     );
-    assert!(stdout.contains("15 denied, 0 warned"), "{stdout}");
+    assert!(stdout.contains("9 denied, 0 warned"), "{stdout}");
 }
 
 #[test]

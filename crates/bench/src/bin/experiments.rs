@@ -1,7 +1,7 @@
 //! Runs the experiment suite (E1–E14 of DESIGN.md §3) and prints the
 //! markdown reports that `EXPERIMENTS.md` is built from. Each run also
-//! writes machine-readable metrics (solver counters, span timings, wall
-//! time) to `figures/metrics/E*.json`.
+//! writes its deterministic metrics (answer and work counters, span
+//! counts; no timings) to `figures/metrics/E*.json`.
 //!
 //! ```text
 //! cargo run -p jp-bench --bin experiments --release            # all
@@ -42,13 +42,7 @@ fn main() {
             wall_micros as f64 / 1e6
         );
         println!("---\n");
-        let metrics = RunMetrics {
-            id: e.id.to_string(),
-            title: e.title.to_string(),
-            pass,
-            wall_micros,
-            stats,
-        };
+        let metrics = RunMetrics::new(e.id, e.title, pass, stats);
         match write_metrics(&metrics_dir, &metrics) {
             Ok(path) => eprintln!("metrics: {}", path.display()),
             Err(err) => eprintln!("metrics: failed to write {}: {err}", e.id),

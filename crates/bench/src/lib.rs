@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Benchmark and experiment harness for the join-predicates reproduction.
 //!
 //! Every row of the experiment index in `DESIGN.md` §3 is implemented

@@ -2,12 +2,13 @@
 //!
 //! Wraps a run in a scoped [`StatsSink`] so the instrumentation the
 //! solvers emit (see `jp-obs`) is aggregated per run, then packages the
-//! snapshot with identity and wall time for JSON export — the machine
-//! companion to the human-readable markdown reports.
+//! run's deterministic keys with its identity for JSON export — the
+//! machine companion to the human-readable markdown reports.
 
 use jp_obs::{FanoutSink, JsonlSink, ScopedSink, Sink, StatsSink, StatsSnapshot};
 use jp_pulse::MemScopeStats;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,19 +55,40 @@ fn emit_mem_axis(before: &jp_pulse::MemSnapshot) {
     emit("total", &before.total, &after.total, true);
 }
 
-/// Aggregated metrics for one experiment or benchmark case.
+/// The deterministic metrics of one experiment run, as committed under
+/// `figures/metrics/`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunMetrics {
-    /// Run identifier (e.g. `"E5"` or a benchmark case name).
+    /// Run identifier (e.g. `"E5"`).
     pub id: String,
     /// Human title of the run.
     pub title: String,
     /// Whether the run's verdict was PASS.
     pub pass: bool,
-    /// Wall-clock duration of the run in microseconds.
-    pub wall_micros: u64,
-    /// Counter totals and span timings collected during the run.
-    pub stats: StatsSnapshot,
+    /// Counter totals of the deterministic keys.
+    pub counters: BTreeMap<String, u64>,
+    /// Span events per deterministic key.
+    pub span_counts: BTreeMap<String, u64>,
+}
+
+impl RunMetrics {
+    /// Keeps the keys [`jp_trace::diff::is_deterministic`] accepts and
+    /// drops every timing: wall time, span durations, and the
+    /// scheduling and memory keys vary from run to run.
+    pub fn new(id: &str, title: &str, pass: bool, stats: StatsSnapshot) -> RunMetrics {
+        let keep = |map: BTreeMap<String, u64>| {
+            map.into_iter()
+                .filter(|(key, _)| jp_trace::diff::is_deterministic(key))
+                .collect()
+        };
+        RunMetrics {
+            id: id.to_string(),
+            title: title.to_string(),
+            pass,
+            counters: keep(stats.counters),
+            span_counts: keep(stats.span_counts),
+        }
+    }
 }
 
 /// Runs `f` with a scoped stats sink installed, returning its result,
@@ -208,21 +230,22 @@ mod tests {
 
     #[test]
     fn metrics_json_is_deterministic_and_key_sorted() {
-        // counters inserted in reverse order still serialize sorted, and
-        // two serializations of the same snapshot are byte-identical
+        // counters inserted in reverse order still serialize sorted, two
+        // serializations of the same snapshot are byte-identical, and
+        // scheduling, memory and timing keys are left out
         let ((), _, stats) = capture(|| {
             jp_obs::counter("zeta", "last", 1);
             jp_obs::counter("alpha", "first", 2);
             jp_obs::counter("mid", "between", 3);
+            jp_obs::counter("par", "tasks", 4);
+            jp_obs::counter("mem", "total.allocs", 5);
+            let _span = jp_obs::span("exact", "solve");
         });
-        let m = RunMetrics {
-            id: "det".into(),
-            title: "determinism".into(),
-            pass: true,
-            wall_micros: 0,
-            stats,
-        };
+        let m = RunMetrics::new("det", "determinism", true, stats);
+        assert_eq!(m.counters.len(), 3, "{:?}", m.counters);
+        assert_eq!(m.span_counts["exact.solve"], 1);
         let a = serde_json::to_string_pretty(&m).unwrap();
+        assert!(!a.contains("par.tasks") && !a.contains("mem.") && !a.contains("micros"));
         let b = serde_json::to_string_pretty(&m).unwrap();
         assert_eq!(a, b);
         let alpha = a.find("alpha.first").unwrap();
@@ -239,13 +262,7 @@ mod tests {
         let ((), _, stats) = capture(|| {
             jp_obs::counter("bench", "cases", 3);
         });
-        let m = RunMetrics {
-            id: "E0".into(),
-            title: "test".into(),
-            pass: true,
-            wall_micros: 42,
-            stats,
-        };
+        let m = RunMetrics::new("E0", "test", true, stats);
         let json = serde_json::to_string(&m).unwrap();
         assert!(json.contains("\"bench.cases\""));
         let back: RunMetrics = serde_json::from_str(&json).unwrap();

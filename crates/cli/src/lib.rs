@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Implementation of the `jp` command-line tool.
 //!
 //! Kept as a library so the command dispatch and argument parsing are

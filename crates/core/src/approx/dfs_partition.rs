@@ -64,23 +64,32 @@ pub fn partition_into_paths(lg: &Graph) -> Vec<Vec<u32>> {
     let mut alive_count = n;
     let mut paths: Vec<Vec<u32>> = Vec::new();
     while alive_count > 0 {
-        // audit:allow(panic-freedom) v ranges over 0..n == alive.len()
+        #[expect(clippy::indexing_slicing, reason = "v ranges over 0..n == alive.len()")]
         let keep: Vec<u32> = (0..n as u32).filter(|&v| alive[v as usize]).collect();
         let (sub, back) = lg.induced_subgraph(&keep);
         debug_assert!(sub.is_connected(), "peeling must preserve connectivity");
         if alive_count <= 3 {
             let p = small_hamiltonian_path(&sub);
-            // audit:allow(panic-freedom) subgraph vertices index back, which maps all of them
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "subgraph vertices index back, which maps all of them"
+            )]
             paths.push(p.into_iter().map(|v| back[v as usize]).collect());
             break;
         }
         let path = peel_one_path(&sub);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "back maps subgraph vertices to original ids < n"
+        )]
         for &v in &path {
-            // audit:allow(panic-freedom) back maps subgraph vertices to original ids < n
             alive[back[v as usize] as usize] = false;
         }
         alive_count -= path.len();
-        // audit:allow(panic-freedom) back maps subgraph vertices to original ids < n
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "back maps subgraph vertices to original ids < n"
+        )]
         paths.push(path.into_iter().map(|v| back[v as usize]).collect());
     }
     paths
@@ -94,6 +103,10 @@ fn small_hamiltonian_path(g: &Graph) -> Vec<u32> {
     match n {
         1 => vec![0],
         2 => vec![0, 1],
+        #[expect(
+            clippy::unreachable,
+            reason = "proof invariant: a connected graph on 3 vertices is traceable"
+        )]
         _ => {
             // order the three vertices so consecutive ones are adjacent
             for [a, b, c] in [[0u32, 1, 2], [0, 2, 1], [1, 0, 2]] {
@@ -101,7 +114,6 @@ fn small_hamiltonian_path(g: &Graph) -> Vec<u32> {
                     return vec![a, b, c];
                 }
             }
-            // audit:allow(panic-freedom) proof invariant: a connected graph on 3 vertices is traceable
             unreachable!("connected graph on 3 vertices is traceable")
         }
     }
@@ -123,26 +135,35 @@ fn peel_one_path(sub: &Graph) -> Vec<u32> {
     let mut depth = vec![0u32; n];
     let mut size = vec![1u32; n];
     for &v in &order {
-        // audit:allow(panic-freedom) tree arrays are n-sized and hold vertex ids < n
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "tree arrays are n-sized and hold vertex ids < n"
+        )]
         if parent[v as usize] != u32::MAX {
             depth[v as usize] = depth[parent[v as usize] as usize] + 1;
         }
     }
     for &v in order.iter().rev() {
-        // audit:allow(panic-freedom) tree arrays are n-sized and hold vertex ids < n
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "tree arrays are n-sized and hold vertex ids < n"
+        )]
         if parent[v as usize] != u32::MAX {
             size[parent[v as usize] as usize] += size[v as usize];
         }
     }
-    // Lowest (deepest) node with >= 4 descendants.
-    // audit:allow(panic-freedom) v ranges over 0..n == size.len() == depth.len()
+    // Lowest (deepest) node with >= 4 descendants; the root itself has
+    // n >= 4 descendants (caller's guard).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "v ranges over 0..n == size.len() == depth.len()"
+    )]
     let r = (0..n as u32)
         .filter(|&v| size[v as usize] >= 4)
-        // audit:allow(panic-freedom) v ranges over 0..n == depth.len()
         .max_by_key(|&v| depth[v as usize])
-        .unwrap_or(t.root); // the root itself has n >= 4 descendants (caller's guard)
-                            // Collect r's subtree; with no twins it is a path through r.
-                            // audit:allow(panic-freedom) r < n == size.len()
+        .unwrap_or(t.root);
+    // Collect r's subtree; with no twins it is a path through r.
+    #[expect(clippy::indexing_slicing, reason = "r < n == size.len()")]
     let subtree = preorder(r, &children, size[r as usize] as usize);
     linearize_path_subtree(r, &children, &subtree)
 }
@@ -153,7 +174,10 @@ fn preorder(r: u32, children: &[Vec<u32>], cap: usize) -> Vec<u32> {
     let mut stack = vec![r];
     while let Some(v) = stack.pop() {
         out.push(v);
-        // audit:allow(panic-freedom) tree nodes are vertex ids < children.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "tree nodes are vertex ids < children.len()"
+        )]
         for &c in children[v as usize].iter().rev() {
             stack.push(c);
         }
@@ -168,17 +192,19 @@ fn eliminate_twins(g: &Graph, parent: &mut [u32], children: &mut [Vec<u32>]) {
     loop {
         let mut rotated = false;
         for p in 0..parent.len() as u32 {
-            // audit:allow(panic-freedom) p ranges over 0..parent.len() == children.len()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "p ranges over 0..parent.len() == children.len(), and children hold vertex ids < children.len()"
+            )]
             let leaves: Vec<u32> = children[p as usize]
                 .iter()
                 .copied()
-                // audit:allow(panic-freedom) children hold vertex ids < children.len()
                 .filter(|&c| children[c as usize].is_empty())
                 .collect();
             if leaves.len() < 2 {
                 continue;
             }
-            // audit:allow(panic-freedom) p ranges over 0..parent.len()
+            #[expect(clippy::indexing_slicing, reason = "p ranges over 0..parent.len()")]
             let gp = parent[p as usize];
             if gp == u32::MAX {
                 // p is the root: with ≤2 children both leaves, the whole
@@ -201,15 +227,18 @@ fn eliminate_twins(g: &Graph, parent: &mut [u32], children: &mut [Vec<u32>]) {
                 l2
             };
             // rotate: remove (gp, p), add (gp, l), reparent p under l
-            // audit:allow(panic-freedom) gp, p, l are tree vertex ids < children.len()
-            children[gp as usize].retain(|&c| c != p);
-            children[gp as usize].push(l);
-            // audit:allow(panic-freedom) gp, p, l are tree vertex ids < children.len()
-            children[p as usize].retain(|&c| c != l);
-            children[l as usize].push(p);
-            // audit:allow(panic-freedom) gp, p, l are tree vertex ids < parent.len()
-            parent[l as usize] = gp;
-            parent[p as usize] = l;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "gp, p, l are tree vertex ids < children.len() == parent.len()"
+            )]
+            {
+                children[gp as usize].retain(|&c| c != p);
+                children[gp as usize].push(l);
+                children[p as usize].retain(|&c| c != l);
+                children[l as usize].push(p);
+                parent[l as usize] = gp;
+                parent[p as usize] = l;
+            }
             rotated = true;
             break;
         }
@@ -221,6 +250,17 @@ fn eliminate_twins(g: &Graph, parent: &mut [u32], children: &mut [Vec<u32>]) {
 
 /// Linearizes a tree known to be a path (every node ≤ 2 tree-neighbours):
 /// returns the vertices in path order.
+///
+/// # Panics
+///
+/// Panics if `r` has more than two children or another node of the
+/// subtree has more than one. Neither happens on the tree `peel_one_path`
+/// passes in. There every node has at most two children, because a DFS
+/// tree of a claw-free graph does and the rotations of `eliminate_twins`
+/// never add a child to a node that had one. After twin elimination no
+/// node has two leaf children. And `r` is a lowest node with ≥ 4
+/// descendants, so each child subtree of `r` has at most 3 nodes; a
+/// twin-free tree on at most 3 nodes is a path hanging from its root.
 fn linearize_path_subtree(r: u32, children: &[Vec<u32>], subtree: &[u32]) -> Vec<u32> {
     // r has ≤ 2 children; every other node ≤ 1 child. Walk down each arm.
     let walk_down = |start: u32| -> Vec<u32> {
@@ -228,11 +268,17 @@ fn linearize_path_subtree(r: u32, children: &[Vec<u32>], subtree: &[u32]) -> Vec
         let mut v = start;
         loop {
             arm.push(v);
-            // audit:allow(panic-freedom) tree nodes are vertex ids < children.len()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "tree nodes are vertex ids < children.len()"
+            )]
             match children[v as usize].as_slice() {
                 [] => break,
                 [c] => v = *c,
-                // audit:allow(panic-freedom) proof invariant: twin elimination leaves every non-root node <= 1 child
+                #[expect(
+                    clippy::panic,
+                    reason = "proof invariant: twin elimination leaves every non-root node <= 1 child"
+                )]
                 more => panic!(
                     "subtree is not a path: node {v} has {} children (twin elimination incomplete)",
                     more.len()
@@ -241,7 +287,10 @@ fn linearize_path_subtree(r: u32, children: &[Vec<u32>], subtree: &[u32]) -> Vec
         }
         arm
     };
-    // audit:allow(panic-freedom) r is a tree vertex id < children.len()
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "r is a tree vertex id < children.len()"
+    )]
     let path = match children[r as usize].as_slice() {
         [] => vec![r],
         [c] => {
@@ -256,7 +305,10 @@ fn linearize_path_subtree(r: u32, children: &[Vec<u32>], subtree: &[u32]) -> Vec
             left.extend(walk_down(*c2));
             left
         }
-        // audit:allow(panic-freedom) proof invariant: DFS trees of claw-free graphs have <= 2 children per node
+        #[expect(
+            clippy::panic,
+            reason = "proof invariant: DFS trees of claw-free graphs have <= 2 children per node"
+        )]
         more => panic!(
             "node {r} has {} children in a claw-free DFS tree",
             more.len()

@@ -43,23 +43,35 @@ pub fn pebble_equijoin(g: &BipartiteGraph) -> Result<PebblingScheme, PebbleError
     let mut lefts = vec![0usize; n_comp];
     let mut rights = vec![0usize; n_comp];
     let mut edges = vec![0usize; n_comp];
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "component ids are < n_comp == lefts.len()"
+    )]
     for &c in &cm.left {
         if c != u32::MAX {
-            // audit:allow(panic-freedom) component ids are < n_comp == lefts.len()
             lefts[c as usize] += 1;
         }
     }
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "component ids are < n_comp == rights.len()"
+    )]
     for &c in &cm.right {
         if c != u32::MAX {
-            // audit:allow(panic-freedom) component ids are < n_comp == rights.len()
             rights[c as usize] += 1;
         }
     }
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "component ids are < n_comp == edges.len()"
+    )]
     for &c in &cm.edge {
-        // audit:allow(panic-freedom) component ids are < n_comp == edges.len()
         edges[c as usize] += 1;
     }
-    // audit:allow(panic-freedom) c ranges over 0..n_comp, the length of all three vectors
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "c ranges over 0..n_comp, the length of all three vectors"
+    )]
     if (0..n_comp).any(|c| edges[c] != lefts[c] * rights[c]) {
         return Err(PebbleError::NotEquijoinGraph);
     }
@@ -68,22 +80,31 @@ pub fn pebble_equijoin(g: &BipartiteGraph) -> Result<PebblingScheme, PebbleError
     // ascending right endpoint. The boustrophedon per component walks its
     // left vertices (in index order) alternating sweep direction.
     let mut offset = vec![0usize; g.left_count() as usize + 1];
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "offset has left_count+1 slots; l < left_count"
+    )]
     for l in 0..g.left_count() as usize {
-        // audit:allow(panic-freedom) offset has left_count+1 slots; l < left_count
         offset[l + 1] = offset[l] + g.left_neighbors(l as u32).len();
     }
     // Left vertices grouped by component, preserving index order.
     let mut comp_lefts: Vec<Vec<u32>> = vec![Vec::new(); n_comp];
     for (l, &c) in cm.left.iter().enumerate() {
         if c != u32::MAX {
-            // audit:allow(panic-freedom) component ids are < n_comp == comp_lefts.len()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "component ids are < n_comp == comp_lefts.len()"
+            )]
             comp_lefts[c as usize].push(l as u32);
         }
     }
     let mut order: Vec<usize> = Vec::with_capacity(g.edge_count());
     for ls in comp_lefts {
         for (step, &l) in ls.iter().enumerate() {
-            // audit:allow(panic-freedom) l is a left-vertex id; offset has left_count+1 slots
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "l is a left-vertex id; offset has left_count+1 slots"
+            )]
             let range = offset[l as usize]..offset[l as usize + 1];
             if step % 2 == 0 {
                 order.extend(range);

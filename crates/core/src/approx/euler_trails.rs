@@ -39,7 +39,10 @@ pub fn pebble_euler_trails(g: &BipartiteGraph) -> Result<PebblingScheme, PebbleE
         let trails = trail_decomposition(&sub);
         n_trails += trails.len() as u64;
         let tour = stitch_trails(&sub, trails);
-        // audit:allow(panic-freedom) trail edges are subgraph edge ids 0..edges.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "trail edges are subgraph edge ids 0..edges.len()"
+        )]
         order.extend(tour.iter().map(|&e| edges[e as usize]));
     }
     jp_obs::counter("approx.euler_trails", "trails", n_trails);
@@ -104,29 +107,37 @@ pub fn trail_decomposition(g: &BipartiteGraph) -> Vec<Vec<u32>> {
     for (e, &(l, r)) in g.edges().iter().enumerate() {
         let fl = l as usize;
         let fr = g.left_count() as usize + r as usize;
-        // audit:allow(panic-freedom) flat ids are < left+right = nv = adj.len() for in-range edges
-        adj[fl].push((fr as u32, e as u32));
-        // audit:allow(panic-freedom) flat ids are < left+right = nv = adj.len() for in-range edges
-        adj[fr].push((fl as u32, e as u32));
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "flat ids are < left+right = nv = adj.len() for in-range edges"
+        )]
+        {
+            adj[fl].push((fr as u32, e as u32));
+            adj[fr].push((fl as u32, e as u32));
+        }
     }
-    // audit:allow(panic-freedom) v ranges over 0..nv == adj.len()
+    #[expect(clippy::indexing_slicing, reason = "v ranges over 0..nv == adj.len()")]
     let odd: Vec<usize> = (0..nv).filter(|&v| adj[v].len() % 2 == 1).collect();
     debug_assert!(odd.len().is_multiple_of(2));
     let mut next_virtual = m as u32;
     for pair in odd.chunks(2) {
         let [a, b] = pair else { continue }; // odd count is even: chunks are exact pairs
         let (a, b) = (*a, *b);
-        // audit:allow(panic-freedom) odd vertices are indices < nv == adj.len()
-        adj[a].push((b as u32, next_virtual));
-        // audit:allow(panic-freedom) odd vertices are indices < nv == adj.len()
-        adj[b].push((a as u32, next_virtual));
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "odd vertices are indices < nv == adj.len()"
+        )]
+        {
+            adj[a].push((b as u32, next_virtual));
+            adj[b].push((a as u32, next_virtual));
+        }
         next_virtual += 1;
     }
     // If everything was even, the circuit never closes without a start
     // marker; we split at virtual edges, so with zero virtual edges the
     // whole circuit is one trail.
     // Hierholzer from any non-isolated vertex.
-    // audit:allow(panic-freedom) v ranges over 0..nv == adj.len()
+    #[expect(clippy::indexing_slicing, reason = "v ranges over 0..nv == adj.len()")]
     let Some(start) = (0..nv).find(|&v| !adj[v].is_empty()) else {
         return Vec::new(); // unreachable: m > 0 means some vertex has an edge
     };
@@ -136,15 +147,22 @@ pub fn trail_decomposition(g: &BipartiteGraph) -> Vec<Vec<u32>> {
     let mut circuit: Vec<u32> = Vec::with_capacity(next_virtual as usize); // edge ids in order
     while let Some(&(v, _)) = stack.last() {
         let mut advanced = false;
-        // audit:allow(panic-freedom) stack holds vertices < nv == iter_pos.len() == adj.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "stack holds vertices < nv == iter_pos.len() == adj.len()"
+        )]
         while iter_pos[v] < adj[v].len() {
-            // audit:allow(panic-freedom) loop condition bounds iter_pos[v] within adj[v]
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "loop condition bounds iter_pos[v] within adj[v]"
+            )]
             let (w, e) = adj[v][iter_pos[v]];
-            // audit:allow(panic-freedom) stack holds vertices < nv == iter_pos.len()
             iter_pos[v] += 1;
-            // audit:allow(panic-freedom) edge ids (real and virtual) are < next_virtual == used.len()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "edge ids (real and virtual) are < next_virtual == used.len()"
+            )]
             if !used[e as usize] {
-                // audit:allow(panic-freedom) edge ids (real and virtual) are < next_virtual == used.len()
                 used[e as usize] = true;
                 stack.push((w as usize, e));
                 advanced = true;

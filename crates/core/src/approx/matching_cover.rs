@@ -42,15 +42,20 @@ pub fn matching_path_cover(lg: &Graph) -> Vec<Vec<u32>> {
     let mut uf: Vec<u32> = (0..n as u32).collect();
     fn find(uf: &mut [u32], v: u32) -> u32 {
         let mut root = v;
-        // audit:allow(panic-freedom) union-find entries are vertex ids < n == uf.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "union-find entries are vertex ids < n == uf.len()"
+        )]
         while uf[root as usize] != root {
             root = uf[root as usize];
         }
         let mut cur = v;
-        // audit:allow(panic-freedom) union-find entries are vertex ids < n == uf.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "union-find entries are vertex ids < n == uf.len()"
+        )]
         while uf[cur as usize] != root {
             let next = uf[cur as usize];
-            // audit:allow(panic-freedom) union-find entries are vertex ids < n == uf.len()
             uf[cur as usize] = root;
             cur = next;
         }
@@ -60,7 +65,10 @@ pub fn matching_path_cover(lg: &Graph) -> Vec<Vec<u32>> {
     let mut cover_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
     let add =
         |u: u32, v: u32, uf: &mut Vec<u32>, deg: &mut Vec<u8>, adj: &mut Vec<Vec<u32>>| -> bool {
-            // audit:allow(panic-freedom) u, v are line-graph vertex ids < n == deg.len()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "u, v are line-graph vertex ids < n == deg.len()"
+            )]
             if deg[u as usize] >= 2 || deg[v as usize] >= 2 {
                 return false;
             }
@@ -68,14 +76,17 @@ pub fn matching_path_cover(lg: &Graph) -> Vec<Vec<u32>> {
             if ru == rv {
                 return false;
             }
-            // audit:allow(panic-freedom) find returns ids < n; u, v < n == adj.len()
-            uf[ru as usize] = rv;
-            deg[u as usize] += 1;
-            // audit:allow(panic-freedom) find returns ids < n; u, v < n == adj.len()
-            deg[v as usize] += 1;
-            adj[u as usize].push(v);
-            // audit:allow(panic-freedom) find returns ids < n; u, v < n == adj.len()
-            adj[v as usize].push(u);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "find returns ids < n; u, v < n == adj.len()"
+            )]
+            {
+                uf[ru as usize] = rv;
+                deg[u as usize] += 1;
+                deg[v as usize] += 1;
+                adj[u as usize].push(v);
+                adj[v as usize].push(u);
+            }
             true
         };
     // 1. seed with the maximum matching (always addable: disjoint edges)
@@ -84,11 +95,14 @@ pub fn matching_path_cover(lg: &Graph) -> Vec<Vec<u32>> {
         debug_assert!(ok, "matching edges are disjoint");
     }
     // 2. link greedily with remaining good edges, scarce endpoints first
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "mate is n-sized, u is a vertex id < n"
+    )]
     let mut rest: Vec<(u32, u32)> = lg
         .edges()
         .iter()
         .copied()
-        // audit:allow(panic-freedom) mate is n-sized, u is a vertex id < n
         .filter(|&(u, v)| matching.mate[u as usize] != v)
         .collect();
     rest.sort_by_key(|&(u, v)| lg.degree(u) + lg.degree(v));
@@ -99,15 +113,23 @@ pub fn matching_path_cover(lg: &Graph) -> Vec<Vec<u32>> {
     let mut seen = vec![false; n];
     let mut paths = Vec::new();
     for start in 0..n as u32 {
-        // audit:allow(panic-freedom) start ranges over 0..n == seen.len() == cover_deg.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "start ranges over 0..n == seen.len() == cover_deg.len()"
+        )]
         if seen[start as usize] || cover_deg[start as usize] > 1 {
             continue;
         }
         let mut path = vec![start];
-        // audit:allow(panic-freedom) start < n == seen.len()
-        seen[start as usize] = true;
+        #[expect(clippy::indexing_slicing, reason = "start < n == seen.len()")]
+        {
+            seen[start as usize] = true;
+        }
         let mut cur = start;
-        // audit:allow(panic-freedom) cover entries are vertex ids < n == seen.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "cover entries are vertex ids < n == seen.len()"
+        )]
         while let Some(&w) = cover_adj[cur as usize].iter().find(|&&w| !seen[w as usize]) {
             seen[w as usize] = true;
             path.push(w);

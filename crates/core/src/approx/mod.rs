@@ -16,6 +16,19 @@
 //!   Papadimitriou–Yannakakis 7/6 approach;
 //! * [`two_opt`], [`or_opt`] — local-search improvements applicable on
 //!   top of any tour (segment reversal / segment relocation).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::missing_panics_doc
+    )
+)]
 
 pub mod dfs_partition;
 pub mod equijoin;
@@ -65,7 +78,10 @@ pub(crate) fn per_component_scheme(
                 .filter(|w| matches!(w, [a, b] if !lg.has_edge(*a, *b)))
                 .count() as u64;
         }
-        // audit:allow(panic-freedom) tour is a permutation of line-graph vertices 0..edges.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "tour is a permutation of line-graph vertices 0..edges.len()"
+        )]
         order.extend(tour.iter().map(|&e| edges[e as usize]));
     }
     jp_obs::counter(obs_component, "jumps", jumps);

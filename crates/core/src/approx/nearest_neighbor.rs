@@ -32,16 +32,24 @@ pub fn nearest_neighbor_tour(lg: &Graph) -> Vec<u32> {
     let start = (0..n as u32).min_by_key(|&v| lg.degree(v)).unwrap_or(0);
     let mut tour = Vec::with_capacity(n);
     let mut cur = start;
-    // audit:allow(panic-freedom) vertex ids are < n == visited.len() by construction
-    visited[cur as usize] = true;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vertex ids are < n == visited.len() by construction"
+    )]
+    {
+        visited[cur as usize] = true;
+    }
     tour.push(cur);
     let mut next_unvisited = 0usize;
     while tour.len() < n {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "vertex ids are < n == visited.len() by construction"
+        )]
         let next_good = lg
             .neighbors(cur)
             .iter()
             .copied()
-            // audit:allow(panic-freedom) vertex ids are < n == visited.len() by construction
             .filter(|&w| !visited[w as usize])
             .min_by_key(|&w| lg.degree(w));
         let next = match next_good {
@@ -53,8 +61,13 @@ pub fn nearest_neighbor_tour(lg: &Graph) -> Vec<u32> {
                 next_unvisited as u32
             }
         };
-        // audit:allow(panic-freedom) tour.len() < n guarantees an unvisited vertex < n exists
-        visited[next as usize] = true;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "tour.len() < n guarantees an unvisited vertex < n exists"
+        )]
+        {
+            visited[next as usize] = true;
+        }
         tour.push(next);
         cur = next;
     }

@@ -35,7 +35,10 @@ pub fn improve_or_opt(tsp: &Tsp12, tour: &mut Vec<u32>, max_passes: usize) -> us
                                      // cost of edges removed around the segment
                 let removed = edge_w(tsp, tour, i.wrapping_sub(1), i) + edge_w(tsp, tour, j - 1, j);
                 // closing the gap
-                // audit:allow(panic-freedom) guarded: 0 < i and j < n == tour.len()
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "guarded: 0 < i and j < n == tour.len()"
+                )]
                 let gap = if i > 0 && j < n {
                     tsp.weight(tour[i - 1], tour[j])
                 } else {
@@ -46,10 +49,16 @@ pub fn improve_or_opt(tsp: &Tsp12, tour: &mut Vec<u32>, max_passes: usize) -> us
                     if k + 1 >= i && k < j {
                         continue; // overlaps the segment or its boundary
                     }
-                    // audit:allow(panic-freedom) k < n - 1, so k and k+1 index tour
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "k < n - 1, so k and k+1 index tour"
+                    )]
                     let old_edge = tsp.weight(tour[k], tour[k + 1]);
                     // segment endpoints after insertion (either orientation)
-                    // audit:allow(panic-freedom) i < j <= n, so i and j-1 index tour
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "i < j <= n, so i and j-1 index tour"
+                    )]
                     let (seg_front, seg_back) = (tour[i], tour[j - 1]);
                     for flip in [false, true] {
                         let (s_head, s_tail) = if flip {
@@ -57,7 +66,10 @@ pub fn improve_or_opt(tsp: &Tsp12, tour: &mut Vec<u32>, max_passes: usize) -> us
                         } else {
                             (seg_front, seg_back)
                         };
-                        // audit:allow(panic-freedom) k < n - 1, so k and k+1 index tour
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "k < n - 1, so k and k+1 index tour"
+                        )]
                         let added = tsp.weight(tour[k], s_head) + tsp.weight(s_tail, tour[k + 1]);
                         let before = removed + old_edge;
                         let after = gap + added;
@@ -87,7 +99,10 @@ fn edge_w(tsp: &Tsp12, tour: &[u32], a: usize, b: usize) -> usize {
     if a >= tour.len() || b >= tour.len() {
         return 0;
     }
-    // audit:allow(panic-freedom) guarded: a and b checked against tour.len() above
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "guarded: a and b checked against tour.len() above"
+    )]
     tsp.weight(tour[a], tour[b])
 }
 

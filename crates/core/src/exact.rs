@@ -21,6 +21,19 @@
 //! cell; `exact.subset_iterations` is the masks expanded, summed over
 //! the layers; `exact.abandoned_at_mask` is the mask at which a raced
 //! search gave up.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::missing_panics_doc
+    )
+)]
 
 use crate::memo::Memo;
 use crate::scheme::PebblingScheme;
@@ -45,7 +58,10 @@ pub const MAX_EXACT_EDGES: usize = 20;
 pub fn min_jump_tour(ones: &Graph) -> (Vec<u32>, usize) {
     match min_jump_tour_racing(ones, &|| false) {
         Some(result) => result,
-        // audit:allow(panic-freedom) the never-true abandon closure cannot make racing return None
+        #[expect(
+            clippy::unreachable,
+            reason = "the never-true abandon closure cannot make racing return None"
+        )]
         None => unreachable!("abandon closure is constant false"),
     }
 }
@@ -66,9 +82,7 @@ pub(crate) fn min_jump_tour_racing(
     let _span = jp_obs::span("exact", "min_jump_tour");
     let _mem = jp_pulse::mem_scope(jp_pulse::MemScope::Solver);
     let n = ones.vertex_count() as usize;
-    // audit:allow(panic-freedom) documented precondition — see "# Panics" above; callers gate on size
     assert!(n >= 1, "empty TSP instance");
-    // audit:allow(panic-freedom) documented precondition — see "# Panics" above; callers gate on size
     assert!(
         n <= MAX_EXACT_EDGES,
         "instance too large for exact DP ({n} nodes)"
@@ -106,7 +120,10 @@ fn solve_components_memo(
 ) -> Result<ComponentSolutions, PebbleError> {
     match solve_components_racing(g, limit, &|| false, memo)? {
         Some(comps) => Ok(comps),
-        // audit:allow(panic-freedom) the never-true abandon closure cannot make racing return None
+        #[expect(
+            clippy::unreachable,
+            reason = "the never-true abandon closure cannot make racing return None"
+        )]
         None => unreachable!("abandon closure is constant false"),
     }
 }
@@ -167,7 +184,10 @@ pub(crate) fn solve_components_racing(
             let sub_order: Vec<usize> = tour.iter().map(|&e| e as usize).collect();
             memo.record_component(&sub, &sub_order, true);
         }
-        // audit:allow(panic-freedom) tour is a permutation of line-graph vertices 0..edges.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "tour is a permutation of line-graph vertices 0..edges.len()"
+        )]
         let order: Vec<usize> = tour.iter().map(|&e| edges[e as usize]).collect();
         jp_obs::counter("exact", "jumps", jumps as u64);
         out.push((order, jumps));

@@ -27,6 +27,19 @@
 //! sequential schedule.
 //!
 //! Cross-validated against Held–Karp on every instance both can solve.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::missing_panics_doc
+    )
+)]
 
 use crate::approx::path_cover::greedy_path_cover;
 use crate::approx::stitch_paths;
@@ -223,15 +236,21 @@ impl Searcher<'_> {
     fn lower_bound(&self, visited: &[bool], cur: u32) -> usize {
         let mut deficiency = 0usize;
         for v in 0..self.n as u32 {
-            // audit:allow(panic-freedom) vertex ids are < n == visited.len() by construction
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "vertex ids are < n == visited.len() by construction"
+            )]
             if visited[v as usize] {
                 continue;
             }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "vertex ids are < n == visited.len() by construction"
+            )]
             let avail = self
                 .ones
                 .neighbors(v)
                 .iter()
-                // audit:allow(panic-freedom) vertex ids are < n == visited.len() by construction
                 .filter(|&&w| w == cur || !visited[w as usize])
                 .take(2)
                 .count();
@@ -268,19 +287,25 @@ impl Searcher<'_> {
             return;
         }
         // good moves first, lowest unvisited-good-degree first
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "vertex ids are < n == visited.len() by construction"
+        )]
         let mut good: Vec<(usize, u32)> = self
             .ones
             .neighbors(cur)
             .iter()
             .copied()
-            // audit:allow(panic-freedom) vertex ids are < n == visited.len() by construction
             .filter(|&w| !visited[w as usize])
             .map(|w| {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "vertex ids are < n == visited.len() by construction"
+                )]
                 let deg = self
                     .ones
                     .neighbors(w)
                     .iter()
-                    // audit:allow(panic-freedom) vertex ids are < n == visited.len() by construction
                     .filter(|&&x| !visited[x as usize] && x != w)
                     .count();
                 (deg, w)
@@ -288,27 +313,43 @@ impl Searcher<'_> {
             .collect();
         good.sort_unstable();
         for (_, w) in good {
-            // audit:allow(panic-freedom) vertex ids are < n == visited.len() by construction
-            visited[w as usize] = true;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "vertex ids are < n == visited.len() by construction"
+            )]
+            {
+                visited[w as usize] = true;
+            }
             tour.push(w);
             self.dfs(visited, w, placed + 1, jumps, tour);
             tour.pop();
-            // audit:allow(panic-freedom) vertex ids are < n == visited.len() by construction
-            visited[w as usize] = false;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "vertex ids are < n == visited.len() by construction"
+            )]
+            {
+                visited[w as usize] = false;
+            }
         }
         // jump moves (cost 1): only try jump targets that are stranded or
         // low-degree first; trying all is required for exactness
         // race:order(pruning against a stale bound is safe — it only delays the cut, never removes the optimum)
         if jumps + 1 < self.shared.best_jumps.load(Ordering::Relaxed) {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "vertex ids are < n == visited.len() by construction"
+            )]
             let mut targets: Vec<(usize, u32)> = (0..self.n as u32)
-                // audit:allow(panic-freedom) vertex ids are < n == visited.len() by construction
                 .filter(|&w| !visited[w as usize] && !self.ones.has_edge(cur, w))
                 .map(|w| {
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "vertex ids are < n == visited.len() by construction"
+                    )]
                     let deg = self
                         .ones
                         .neighbors(w)
                         .iter()
-                        // audit:allow(panic-freedom) vertex ids are < n == visited.len() by construction
                         .filter(|&&x| !visited[x as usize])
                         .count();
                     (deg, w)
@@ -316,13 +357,23 @@ impl Searcher<'_> {
                 .collect();
             targets.sort_unstable();
             for (_, w) in targets {
-                // audit:allow(panic-freedom) vertex ids are < n == visited.len() by construction
-                visited[w as usize] = true;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "vertex ids are < n == visited.len() by construction"
+                )]
+                {
+                    visited[w as usize] = true;
+                }
                 tour.push(w);
                 self.dfs(visited, w, placed + 1, jumps + 1, tour);
                 tour.pop();
-                // audit:allow(panic-freedom) vertex ids are < n == visited.len() by construction
-                visited[w as usize] = false;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "vertex ids are < n == visited.len() by construction"
+                )]
+                {
+                    visited[w as usize] = false;
+                }
             }
         }
     }
@@ -409,8 +460,13 @@ pub fn bb_min_jump_tour_par(ones: &Graph, budget: u64, threads: usize) -> BbOutc
             };
             let mut visited = vec![false; n];
             let mut tour = Vec::with_capacity(n);
-            // audit:allow(panic-freedom) vertex ids are < n == visited.len() by construction
-            visited[v as usize] = true;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "vertex ids are < n == visited.len() by construction"
+            )]
+            {
+                visited[v as usize] = true;
+            }
             tour.push(v);
             searcher.dfs(&mut visited, v, 1, 0, &mut tour);
             if searcher.truncated {
@@ -521,7 +577,10 @@ pub fn optimal_scheme_bb_par(
         let lg = jp_graph::line_graph(&sub);
         match bb_min_jump_tour_par(&lg, budget, threads) {
             BbOutcome::Optimal { tour, .. } => {
-                // audit:allow(panic-freedom) tour is a permutation of line-graph vertices 0..edges.len()
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "tour is a permutation of line-graph vertices 0..edges.len()"
+                )]
                 order.extend(tour.iter().map(|&e| edges[e as usize]));
             }
             BbOutcome::BudgetExhausted { stats, .. } => {

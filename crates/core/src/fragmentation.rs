@@ -136,7 +136,10 @@ pub fn exact_min_investigated(
     let mut left = vec![0u32; nl];
     let mut right = vec![0u32; nr];
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the exhaustive search threads its partial assignment and incumbent explicitly"
+    )]
     fn rec(
         g: &BipartiteGraph,
         p: u32,

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `jp-pebble` — the core of the reproduction of *On the Complexity of
 //! Join Predicates* (Cai, Chakaravarthy, Kaushik, Naughton — PODS 2001).
 //!

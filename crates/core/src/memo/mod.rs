@@ -28,6 +28,19 @@
 //! (`exact::optimal_scheme_memo`): inside the exact path only entries
 //! proved optimal are consulted, so exactness guarantees survive
 //! memoization unchanged.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::missing_panics_doc
+    )
+)]
 
 pub mod driver;
 pub mod recognize;

@@ -23,6 +23,19 @@
 //! intermediate configuration, which is exactly how the definition counts
 //! it (two moves). [`PebblingScheme::from_edge_sequence`] inserts those
 //! intermediates automatically.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::missing_panics_doc
+    )
+)]
 
 use crate::PebbleError;
 use jp_graph::{betti_number, BipartiteGraph, Vertex};

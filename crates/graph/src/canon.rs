@@ -26,6 +26,19 @@
 //! e.g. crown graphs) blow the [`MAX_CANON_LABELINGS`] budget; the
 //! function then returns `None` and the caller simply solves fresh —
 //! canonicalization is an accelerator, never an obligation.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::missing_panics_doc
+    )
+)]
 
 use crate::bipartite::BipartiteGraph;
 

@@ -28,6 +28,19 @@
 //! `n − 1` jumps), so a sparse or disconnected graph can need up to `n`
 //! layers; line graphs of connected join graphs need `J ≤ ⌈n/4⌉` (the
 //! 1.25 upper bound, Theorem 3.1).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::missing_panics_doc
+    )
+)]
 
 use crate::graph::Graph;
 
@@ -123,22 +136,33 @@ impl JumpLayers {
         while seed != 0 {
             let v = seed.trailing_zeros();
             seed &= seed - 1;
-            // audit:allow(panic-freedom) seed ⊆ full, so v < n and 1 << v < size = cur.len()
-            cur[1usize << v] |= 1 << v;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "seed ⊆ full, so v < n and 1 << v < size = cur.len()"
+            )]
+            {
+                cur[1usize << v] |= 1 << v;
+            }
         }
         for mask in 1..size {
             if mask % ABANDON_POLL_MASKS == 0 && abandon(mask) {
                 return false;
             }
-            // audit:allow(panic-freedom) mask < size, the length of every layer
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "mask < size, the length of every layer"
+            )]
             let reach = if prev.is_some_and(|p| p[mask] != 0) {
                 full
             } else {
-                // audit:allow(panic-freedom) mask < size = cur.len()
+                #[expect(clippy::indexing_slicing, reason = "mask < size = cur.len()")]
                 let mut ends = cur[mask];
                 let mut reach = 0;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "endpoints lie in mask ⊆ full, so each is < n = adj.len()"
+                )]
                 while ends != 0 {
-                    // audit:allow(panic-freedom) endpoints lie in mask ⊆ full, so each is < n = adj.len()
                     reach |= self.adj[ends.trailing_zeros() as usize];
                     ends &= ends - 1;
                 }
@@ -152,8 +176,13 @@ impl JumpLayers {
             while free != 0 {
                 let bit = free & free.wrapping_neg();
                 free ^= bit;
-                // audit:allow(panic-freedom) adjacency words and `full` hold only bits < n, so mask | bit ≤ full < size
-                cur[mask | bit as usize] |= bit;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "adjacency words and `full` hold only bits < n, so mask | bit ≤ full < size"
+                )]
+                {
+                    cur[mask | bit as usize] |= bit;
+                }
             }
         }
         self.layers.push(cur);
@@ -182,7 +211,6 @@ pub fn min_jump_layers(
     abandon: &dyn Fn(usize) -> bool,
 ) -> Option<JumpLayers> {
     let n = g.vertex_count();
-    // audit:allow(panic-freedom) documented precondition — see "# Panics" above; callers gate on size
     assert!(
         n <= MAX_DP_VERTICES,
         "hamiltonian path DP supports at most {MAX_DP_VERTICES} vertices, got {n}"
@@ -235,7 +263,6 @@ pub fn hamiltonian_path(g: &Graph) -> Option<Vec<u32>> {
 /// # Panics
 /// Panics if `s == t`.
 pub fn hamiltonian_path_between(g: &Graph, s: u32, t: u32) -> Option<Vec<u32>> {
-    // audit:allow(panic-freedom) documented precondition — see "# Panics" above
     assert!(s != t, "endpoints must differ");
     min_jump_layers(g, 1u32.checked_shl(s)?, 0, &|_| false)?.path_to(t)
 }
@@ -272,25 +299,25 @@ pub fn for_each_hamiltonian_path(g: &Graph, mut f: impl FnMut(&[u32])) {
             return;
         };
         for &w in g.neighbors(last) {
-            // audit:allow(panic-freedom) neighbours of a vertex of g are < n = used.len()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "neighbours of a vertex of g are < n = used.len()"
+            )]
             if !used[w as usize] {
-                // audit:allow(panic-freedom) w < n = used.len(), as checked on the line above
                 used[w as usize] = true;
                 path.push(w);
                 rec(g, path, used, n, f);
                 path.pop();
-                // audit:allow(panic-freedom) w < n = used.len(), as above
                 used[w as usize] = false;
             }
         }
     }
+    #[expect(clippy::indexing_slicing, reason = "start < n = used.len()")]
     for start in 0..n as u32 {
-        // audit:allow(panic-freedom) start < n = used.len()
         used[start as usize] = true;
         path.push(start);
         rec(g, &mut path, &mut used, n, &mut f);
         path.pop();
-        // audit:allow(panic-freedom) start < n = used.len()
         used[start as usize] = false;
     }
 }

@@ -101,7 +101,10 @@ pub fn maximum_matching(g: &Graph) -> Matching {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the blossom step threads the search arrays it updates explicitly"
+    )]
     fn mark_path(
         base: &[u32],
         mate: &[u32],

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `jp-obs` — hand-rolled, std-only instrumentation for the solver
 //! ladder: the one API every site calls, for both the event stream and
 //! the live metrics registry.
@@ -59,6 +58,19 @@
 //! absent. Version-1 traces (no `v`, no `start`/`parent`) still
 //! parse. The full per-version field reference lives in the [`event`]
 //! module docs; [`SCHEMA_VERSION`] is what this build writes.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::missing_panics_doc
+    )
+)]
 
 pub mod event;
 mod global;

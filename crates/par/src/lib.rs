@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `jp-par` — a zero-dependency, std-only work-stealing runtime for the
 //! solver ladder.
 //!

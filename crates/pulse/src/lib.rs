@@ -1,8 +1,7 @@
 // With alloc-track off the crate is 100% safe code and says so; with it
-// on, the one GlobalAlloc impl in `mem` carries its own reasoned audit
-// annotations and everything else stays denied.
+// on, the one GlobalAlloc impl in `mem` carries a reasoned allow and the
+// manifest's `unsafe_code = "deny"` holds everywhere else.
 #![cfg_attr(not(feature = "alloc-track"), forbid(unsafe_code))]
-#![deny(unsafe_code)]
 //! `jp-pulse` — consumers and exporters of live telemetry.
 //!
 //! Instrumented code reports through jp-obs alone: one
@@ -23,6 +22,19 @@
 //!   par) through a thread-local scope stack of guards.
 //! * [`expo`] / [`top`] — Prometheus-style text exposition and the
 //!   `jp pulse top` terminal renderer over a snapshot.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::missing_panics_doc
+    )
+)]
 
 pub mod expo;
 pub mod mem;

@@ -98,7 +98,10 @@ impl ScopeCells {
         }
     }
 
-    #[cfg_attr(not(feature = "alloc-track"), allow(dead_code))]
+    #[cfg_attr(
+        not(feature = "alloc-track"),
+        allow(dead_code, reason = "only the alloc-track hooks call it")
+    )]
     fn on_alloc(&self, size: u64) {
         // race:order(allocator-path accounting is approximate by design — per-cell totals are exact, cross-cell snapshots may tear)
         self.allocs.fetch_add(1, Ordering::Relaxed);
@@ -108,7 +111,10 @@ impl ScopeCells {
         self.peak.fetch_max(now, Ordering::Relaxed);
     }
 
-    #[cfg_attr(not(feature = "alloc-track"), allow(dead_code))]
+    #[cfg_attr(
+        not(feature = "alloc-track"),
+        allow(dead_code, reason = "only the alloc-track hooks call it")
+    )]
     fn on_free(&self, size: u64) {
         // race:order(allocator-path accounting is approximate by design — per-cell totals are exact, cross-cell snapshots may tear)
         self.frees.fetch_add(1, Ordering::Relaxed);
@@ -201,7 +207,10 @@ impl Drop for MemScopeGuard {
     }
 }
 
-#[cfg_attr(not(feature = "alloc-track"), allow(dead_code))]
+#[cfg_attr(
+    not(feature = "alloc-track"),
+    allow(dead_code, reason = "only the alloc-track hooks call it")
+)]
 fn current_cells() -> &'static ScopeCells {
     let idx = CURRENT.try_with(|c| c.get() as usize).unwrap_or(0);
     SCOPE_CELLS.get(idx).unwrap_or(&TOTAL)
@@ -210,14 +219,20 @@ fn current_cells() -> &'static ScopeCells {
 /// Records one allocation of `size` bytes against the current scope.
 /// Called by the [`TrackingAlloc`] hooks; safe, allocation-free,
 /// panic-free.
-#[cfg_attr(not(feature = "alloc-track"), allow(dead_code))]
+#[cfg_attr(
+    not(feature = "alloc-track"),
+    allow(dead_code, reason = "only the alloc-track hooks call it")
+)]
 pub(crate) fn record_alloc(size: usize) {
     current_cells().on_alloc(size as u64);
     TOTAL.on_alloc(size as u64);
 }
 
 /// Records one deallocation of `size` bytes against the current scope.
-#[cfg_attr(not(feature = "alloc-track"), allow(dead_code))]
+#[cfg_attr(
+    not(feature = "alloc-track"),
+    allow(dead_code, reason = "only the alloc-track hooks call it")
+)]
 pub(crate) fn record_free(size: usize) {
     current_cells().on_free(size as u64);
     TOTAL.on_free(size as u64);
@@ -308,17 +323,20 @@ pub fn sample_lines() -> Vec<(String, u64)> {
 /// static ALLOC: jp_pulse::mem::TrackingAlloc = jp_pulse::mem::TrackingAlloc;
 /// ```
 #[cfg(feature = "alloc-track")]
-// audit:allow(unsafe-freedom) GlobalAlloc is an unsafe trait by definition; this module only delegates to System and bumps atomics
-#[allow(unsafe_code)]
+#[allow(
+    unsafe_code,
+    reason = "GlobalAlloc is an unsafe trait by definition; this module only delegates to System and bumps atomics"
+)]
 mod tracking {
     use std::alloc::{GlobalAlloc, Layout, System};
 
     /// See the [module docs](super) — `System` plus scope accounting.
     pub struct TrackingAlloc;
 
-    // audit:allow(unsafe-freedom) required unsafe impl of the GlobalAlloc contract; every method forwards to System verbatim
+    // SAFETY: every method forwards its arguments to `System` verbatim and
+    // returns `System`'s result, so `System` upholds the GlobalAlloc
+    // contract; the accounting around each call is safe atomic arithmetic.
     unsafe impl GlobalAlloc for TrackingAlloc {
-        // audit:allow(unsafe-freedom) contract inherited from GlobalAlloc; body is System.alloc + safe atomic accounting
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             let p = System.alloc(layout);
             if !p.is_null() {
@@ -327,13 +345,11 @@ mod tracking {
             p
         }
 
-        // audit:allow(unsafe-freedom) contract inherited from GlobalAlloc; body is System.dealloc + safe atomic accounting
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
             System.dealloc(ptr, layout);
             super::record_free(layout.size());
         }
 
-        // audit:allow(unsafe-freedom) contract inherited from GlobalAlloc; body is System.alloc_zeroed + safe atomic accounting
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
             let p = System.alloc_zeroed(layout);
             if !p.is_null() {
@@ -342,7 +358,6 @@ mod tracking {
             p
         }
 
-        // audit:allow(unsafe-freedom) contract inherited from GlobalAlloc; body is System.realloc + safe atomic accounting
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             let p = System.realloc(ptr, layout, new_size);
             if !p.is_null() {

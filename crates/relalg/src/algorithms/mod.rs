@@ -44,7 +44,10 @@ pub fn nested_loops(r: &Relation, s: &Relation, pred: &dyn JoinPredicate) -> Joi
 
 /// Block nested-loops join: identical output to [`nested_loops`], but
 /// iterates in cache-friendly blocks — the classical I/O-aware variant.
-#[allow(clippy::needless_range_loop)] // index arithmetic is the point of blocking
+#[allow(
+    clippy::needless_range_loop,
+    reason = "index arithmetic is the point of blocking"
+)]
 pub fn block_nested_loops(
     r: &Relation,
     s: &Relation,

@@ -31,9 +31,22 @@
 //! Work counters are deterministic and surface through jp-obs
 //! (`wcoj.seek`, `wcoj.words`, `wcoj.emit`, `wcoj.intermediate`), so
 //! `jp trace check` gates them against the committed baseline. This
-//! module is in the jp-audit panic-freedom scope: all cursor access is
-//! checked, and planner invariant breaks surface as
+//! module denies clippy's panic lints outside tests: all cursor access
+//! is checked, and planner invariant breaks surface as
 //! [`RelalgError::Internal`].
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::missing_panics_doc
+    )
+)]
 
 use crate::error::RelalgError;
 use crate::query::ConjunctiveQuery;

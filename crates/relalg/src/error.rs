@@ -8,6 +8,19 @@
 //! builder. Both are **input** errors — adversarial workloads reach the
 //! builders through the CLI and the realizers — so they surface here as
 //! typed variants instead of panics.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::missing_panics_doc
+    )
+)]
 
 use crate::relation::Relation;
 use std::fmt;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Relational substrate for the reproduction of *On the Complexity of
 //! Join Predicates* (PODS 2001).
 //!

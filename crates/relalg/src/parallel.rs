@@ -44,7 +44,7 @@ fn tuple_id(position: usize) -> u32 {
 /// Panics if the assignment lengths do not match the relations, a
 /// fragment id is out of range, or a relation has more than `u32::MAX`
 /// tuples (tuple ids in the result are `u32`).
-#[allow(clippy::too_many_arguments)] // the plan IS the argument list
+#[allow(clippy::too_many_arguments, reason = "the plan IS the argument list")]
 pub fn fragmented_join(
     r: &Relation,
     s: &Relation,
@@ -217,7 +217,7 @@ mod tests {
 /// # Panics
 /// As [`fragmented_join`], plus if a pair references an out-of-range
 /// fragment.
-#[allow(clippy::too_many_arguments)] // the plan IS the argument list
+#[allow(clippy::too_many_arguments, reason = "the plan IS the argument list")]
 pub fn fragmented_join_pairs(
     r: &Relation,
     s: &Relation,

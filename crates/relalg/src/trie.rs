@@ -28,10 +28,23 @@
 //! that rank plus the popcount of the bits below the key. A level with
 //! no dense node stores nothing extra.
 //!
-//! Everything here is panic-free (in the jp-audit `panic-freedom` scope
-//! at deny): out-of-contract calls return `None` or an
+//! Everything here is panic-free (clippy denies panic sites in this
+//! module outside tests): out-of-contract calls return `None` or an
 //! [`RelalgError`], never abort, because the multiway join planner
 //! feeds these iterators from untrusted CLI workloads.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::missing_panics_doc
+    )
+)]
 
 use crate::error::RelalgError;
 

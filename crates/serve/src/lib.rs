@@ -21,8 +21,19 @@
 //! vendored serde, networking is `std::net`, and concurrency is
 //! scoped threads — the same discipline as the rest of the
 //! workspace.
-
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::missing_panics_doc
+    )
+)]
 
 pub mod client;
 pub mod loadgen;

@@ -192,6 +192,13 @@ impl Default for Tolerances {
     }
 }
 
+/// Whether `key` is an **Answer** or **Work** key: deterministic for a
+/// fixed input and thread count, unlike the scheduling-dependent and
+/// memory keys. Span timings are never deterministic.
+pub fn is_deterministic(key: &str) -> bool {
+    matches!(class_of(key), Class::Answer | Class::Work)
+}
+
 /// The counter classes; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Class {

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `jp-trace` (jp-lens) — analysis over the `jp-obs` event stream.
 //!
 //! The paper argues join complexity in *counted work* — pebble
@@ -33,8 +32,21 @@
 //!   of one request and a queue/solve/memo/wcoj/wire blame breakdown,
 //!   with a completeness gate for CI.
 //!
-//! The crate is std-only, `#![forbid(unsafe_code)]`, and covered by the
-//! workspace audit's panic-freedom rule.
+//! The crate is std-only and free of unsafe code (the workspace forbids
+//! it), and clippy denies panic sites in it outside tests.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::missing_panics_doc
+    )
+)]
 
 pub mod analyze;
 pub mod diff;

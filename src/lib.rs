@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `join-predicates` — facade crate for the reproduction of
 //! *On the Complexity of Join Predicates* (Cai, Chakaravarthy, Kaushik,
 //! Naughton — PODS 2001).
