@@ -260,7 +260,8 @@ impl<'a> DenseNode<'a> {
 
 /// A trie view of a [`MultiRelation`] under a column permutation:
 /// rows re-ordered column-wise by `perm`, sorted lexicographically, and
-/// stored one [`TrieLevel`] per permuted column.
+/// stored as one level per permuted column (the distinct keys of every
+/// node, with child and row offsets).
 #[derive(Debug, Clone)]
 pub struct TrieIndex {
     rows: usize,

@@ -1,7 +1,7 @@
 //! A blocking client for the jp-serve wire protocol.
 
 use crate::proto::{self, FrameRead, Request, RequestBody, Response, WIRE_VERSION};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -34,6 +34,8 @@ pub struct Client {
     /// The connection, read through a buffer so a response frame,
     /// header and payload, usually costs one read.
     stream: BufReader<TcpStream>,
+    /// The request frame being sent, reused from request to request.
+    frame: Vec<u8>,
     next_id: u64,
 }
 
@@ -45,6 +47,7 @@ impl Client {
         stream.set_write_timeout(Some(Duration::from_secs(10)))?;
         Ok(Client {
             stream: BufReader::new(stream),
+            frame: Vec::new(),
             next_id: 1,
         })
     }
@@ -68,11 +71,8 @@ impl Client {
             request: Some(request),
             body,
         };
-        {
-            let mut w = BufWriter::new(self.stream.get_mut());
-            proto::write_message(&mut w, &req)?;
-            w.flush()?;
-        }
+        proto::encode_request(&req, &mut self.frame)?;
+        self.stream.get_mut().write_all(&self.frame)?;
         let mut idle = 0u32;
         loop {
             match proto::read_frame(&mut self.stream)? {

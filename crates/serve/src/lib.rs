@@ -5,7 +5,8 @@
 //! outlives a single CLI invocation. This crate keeps it alive behind
 //! a small TCP service:
 //!
-//! * [`proto`] — the versioned, length-prefixed JSON wire format;
+//! * [`proto`] — the versioned, length-prefixed JSON wire format, with
+//!   a hand-written codec for its message types;
 //! * [`server`] — the service itself: acceptor, per-connection
 //!   handlers, admission control, and a bounded set of solver slots;
 //!   each handler solves its own requests over one shared
@@ -17,10 +18,10 @@
 //!   jp-obs event is buffered in a bounded ring, and only slow or
 //!   failing requests are flushed at full detail (exemplars).
 //!
-//! Zero dependencies beyond the workspace: the wire format rides the
-//! vendored serde, networking is `std::net`, and concurrency is
-//! scoped threads — the same discipline as the rest of the
-//! workspace.
+//! Zero dependencies beyond the workspace: the wire codec is written
+//! by hand (the vendored serde carries the reports and xray sidecars),
+//! networking is `std::net`, and concurrency is scoped threads — the
+//! same discipline as the rest of the workspace.
 #![cfg_attr(
     not(test),
     deny(
@@ -39,6 +40,9 @@ pub mod client;
 pub mod loadgen;
 pub mod proto;
 pub mod server;
+mod wire;
+#[cfg(test)]
+mod wire_props;
 pub mod xray;
 
 pub use client::Client;

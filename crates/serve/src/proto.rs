@@ -8,13 +8,24 @@
 //! +----------------------+--------------------------+
 //! ```
 //!
-//! The payload is a single JSON document (the same serde discipline the
-//! workspace uses for traces and memo checkpoints), so a captured
-//! conversation replays with any JSONL tooling once the frames are
-//! stripped. The length prefix makes message boundaries explicit on a
-//! stream socket: a reader never has to guess where one JSON document
-//! ends and the next begins, and a partial write is detected as a short
-//! frame instead of being misparsed.
+//! The payload is a single JSON document, so a captured conversation
+//! replays with any JSONL tooling once the frames are stripped. The
+//! length prefix makes message boundaries explicit on a stream socket: a
+//! reader never has to guess where one JSON document ends and the next
+//! begins, and a partial write is detected as a short frame instead of
+//! being misparsed.
+//!
+//! The codec is written by hand for these types (the private `wire`
+//! module): [`encode_request`] and [`encode_response`] write a whole
+//! frame, header included, in one pass into one buffer, reading a graph
+//! through its accessors; [`parse_request`] and [`parse_response`] pull
+//! the message straight out of the payload. The JSON is byte for byte
+//! what the vendored `serde_json` writes for these types, and the parser
+//! accepts and rejects what `serde_json::from_str` does, with the same
+//! error classes; the unit tests hold both to that, with `serde_json` as
+//! the oracle. Everything else the workspace stores as JSON — memo
+//! JSONL, trace JSONL, xray sidecars and CLI graph files — still goes
+//! through the generic `serde_json` path.
 //!
 //! Versioning: [`Request::v`] / [`Response::v`] carry [`WIRE_VERSION`].
 //! A server answers a request with an unknown version with
@@ -26,9 +37,9 @@
 //! shutdown flag and come back. A timeout *inside* a frame is retried
 //! (bounded), because the bytes are already in flight.
 
+use crate::wire;
 use jp_graph::BipartiteGraph;
-use serde::{Deserialize, Serialize};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Version stamped into every frame payload; bump on any breaking
 /// change to the message types below.
@@ -46,7 +57,8 @@ pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 const MAX_MID_FRAME_STALLS: u32 = 200;
 
 /// One client request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(test, derive(serde::Serialize, serde::Deserialize))]
 pub struct Request {
     /// Wire format version ([`WIRE_VERSION`]).
     pub v: u32,
@@ -58,17 +70,18 @@ pub struct Request {
     /// `request` field of schema v2) so `jp trace request <id>` can
     /// reconstruct its critical path.
     ///
-    /// A *compatible* frame extension within [`WIRE_VERSION`] 1:
-    /// field-lookup deserialization reads a missing key as `None` (old
-    /// client → new server) and ignores unknown keys (new client → old
-    /// server), so peers on either side of the extension interoperate.
+    /// A *compatible* frame extension within [`WIRE_VERSION`] 1: the
+    /// parser reads a missing key as `None` (old client → new server)
+    /// and ignores unknown keys (new client → old server), so peers on
+    /// either side of the extension interoperate.
     pub request: Option<u64>,
     /// What is being asked.
     pub body: RequestBody,
 }
 
 /// The request payload variants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(test, derive(serde::Serialize, serde::Deserialize))]
 pub enum RequestBody {
     /// Liveness probe; answered with [`ResponseBody::Pong`].
     Ping,
@@ -86,7 +99,8 @@ pub enum RequestBody {
 }
 
 /// Solver selection for a [`RequestBody::Pebble`] request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(test, derive(serde::Serialize, serde::Deserialize))]
 pub enum PebbleAlgo {
     /// The memoized portfolio: recognizers and the warm store first,
     /// the full race on a miss. This is what a planning service wants.
@@ -97,7 +111,8 @@ pub enum PebbleAlgo {
 }
 
 /// One server response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(test, derive(serde::Serialize, serde::Deserialize))]
 pub struct Response {
     /// Wire format version ([`WIRE_VERSION`]).
     pub v: u32,
@@ -109,7 +124,8 @@ pub struct Response {
 }
 
 /// The response payload variants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(test, derive(serde::Serialize, serde::Deserialize))]
 pub enum ResponseBody {
     /// Answer to [`RequestBody::Ping`].
     Pong,
@@ -279,28 +295,38 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
     }
 }
 
-/// Writes one length-prefixed frame and flushes it.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "refusing to write a {}-byte frame (cap {MAX_FRAME_BYTES})",
-                payload.len()
-            ),
-        ));
-    }
-    let len = payload.len() as u32;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+/// Encodes `req` as one frame, header and payload, replacing the
+/// contents of `frame`; send it with a single `write_all`.
+pub fn encode_request(req: &Request, frame: &mut Vec<u8>) -> io::Result<()> {
+    encode_frame(frame, |out| wire::encode_request(req, out))
 }
 
-/// Serializes `msg` and writes it as one frame.
-pub fn write_message<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()> {
-    let payload = serde_json::to_vec(msg)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encoding frame: {e}")))?;
-    write_frame(w, &payload)
+/// Encodes `resp` as one frame, header and payload, replacing the
+/// contents of `frame`; send it with a single `write_all`.
+pub fn encode_response(resp: &Response, frame: &mut Vec<u8>) -> io::Result<()> {
+    encode_frame(frame, |out| wire::encode_response(resp, out))
+}
+
+/// Reserves the 4-byte header, lets `payload` append the payload, and
+/// fills the header in.
+fn encode_frame(frame: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    frame.clear();
+    frame.extend_from_slice(&[0; 4]);
+    payload(frame);
+    let len = frame.len() - 4;
+    let header = u32::try_from(len)
+        .ok()
+        .filter(|_| len <= MAX_FRAME_BYTES)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("refusing to write a {len}-byte frame (cap {MAX_FRAME_BYTES})"),
+            )
+        })?;
+    if let Some(h) = frame.get_mut(..4) {
+        h.copy_from_slice(&header.to_be_bytes());
+    }
+    Ok(())
 }
 
 /// Parses a frame payload as a [`Request`], enforcing the wire
@@ -308,8 +334,7 @@ pub fn write_message<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<(
 /// [`ResponseBody::Error`] reply.
 pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
     let text = std::str::from_utf8(payload).map_err(|e| format!("frame is not UTF-8: {e}"))?;
-    let req: Request =
-        serde_json::from_str(text).map_err(|e| format!("malformed request JSON: {e}"))?;
+    let req = wire::decode_request(text).map_err(|e| format!("malformed request JSON: {e}"))?;
     if req.v != WIRE_VERSION {
         return Err(format!(
             "unsupported wire version {} (this server speaks {WIRE_VERSION})",
@@ -323,8 +348,7 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
 /// version.
 pub fn parse_response(payload: &[u8]) -> Result<Response, String> {
     let text = std::str::from_utf8(payload).map_err(|e| format!("frame is not UTF-8: {e}"))?;
-    let resp: Response =
-        serde_json::from_str(text).map_err(|e| format!("malformed response JSON: {e}"))?;
+    let resp = wire::decode_response(text).map_err(|e| format!("malformed response JSON: {e}"))?;
     if resp.v != WIRE_VERSION {
         return Err(format!(
             "unsupported wire version {} (this client speaks {WIRE_VERSION})",
@@ -339,12 +363,16 @@ mod tests {
     use super::*;
     use jp_graph::generators;
 
+    /// `payload` behind its length header.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_be_bytes().to_vec();
+        out.extend_from_slice(payload);
+        out
+    }
+
     #[test]
     fn frames_round_trip() {
-        let mut buf: Vec<u8> = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        write_frame(&mut buf, b"world").unwrap();
+        let buf = [frame(b"hello"), frame(b""), frame(b"world")].concat();
         let mut r = io::Cursor::new(buf);
         for want in [&b"hello"[..], b"", b"world"] {
             match read_frame(&mut r).unwrap() {
@@ -366,8 +394,7 @@ mod tests {
 
     #[test]
     fn mid_frame_close_is_an_error_not_a_short_frame() {
-        let mut buf: Vec<u8> = Vec::new();
-        write_frame(&mut buf, b"full payload").unwrap();
+        let mut buf = frame(b"full payload");
         buf.truncate(9); // header + 5 of 12 payload bytes
         let mut r = io::Cursor::new(buf);
         let err = read_frame(&mut r).unwrap_err();
@@ -387,7 +414,8 @@ mod tests {
             },
         };
         let mut buf: Vec<u8> = Vec::new();
-        write_message(&mut buf, &req).unwrap();
+        encode_request(&req, &mut buf).unwrap();
+        assert_eq!(buf, frame(&serde_json::to_vec(&req).unwrap()));
         let mut r = io::Cursor::new(buf);
         let FrameRead::Frame(p) = read_frame(&mut r).unwrap() else {
             panic!("expected a frame");
@@ -409,7 +437,8 @@ mod tests {
             },
         };
         let mut buf: Vec<u8> = Vec::new();
-        write_message(&mut buf, &resp).unwrap();
+        encode_response(&resp, &mut buf).unwrap();
+        assert_eq!(buf, frame(&serde_json::to_vec(&resp).unwrap()));
         let mut r = io::Cursor::new(buf);
         let FrameRead::Frame(p) = read_frame(&mut r).unwrap() else {
             panic!("expected a frame");

@@ -6,8 +6,8 @@
 //! Everything runs under a single [`std::thread::scope`], so shutdown
 //! is structural — `run` cannot return with a thread still alive:
 //!
-//! * the **acceptor** (the thread that called [`Server::run`]) polls a
-//!   non-blocking listener and spawns one **handler** per connection;
+//! * the **acceptor** (the thread that called [`Server::run`]) blocks in
+//!   `accept` and spawns one **handler** per connection;
 //! * each handler speaks the [`crate::proto`] frame protocol
 //!   synchronously: read a request, admit or reject it, and — for an
 //!   admitted pebble job — take a solver slot, solve on its own thread,
@@ -20,6 +20,19 @@
 //! costs no syscall. A solve that panics is caught on its handler and
 //! answered with a classified `Error`, and both its pending slot and
 //! its solver slot are released.
+//!
+//! ## Shutdown
+//!
+//! Shutdown starts when a `Shutdown` request arrives or, with
+//! [`ServeConfig::max_requests`] set, when the request that reaches the
+//! bound completes. The first of these sets the shutdown flag and wakes
+//! the acceptor by connecting to the listener itself (to loopback when
+//! it is bound to an unspecified address), retrying until the acceptor
+//! has exited. The acceptor drops a connection it accepts once the flag
+//! is set, the wake-up included, and returns. Each handler notices the
+//! flag at its next 50 ms read timeout while idle, so an open idle
+//! connection delays the drain by at most that long; in-flight requests
+//! are answered first.
 //!
 //! ## Admission control
 //!
@@ -71,18 +84,21 @@ use jp_graph::{BipartiteGraph, ComponentMap};
 use jp_pebble::memo::{solve_with_memo_report, Memo, MemoStats};
 use jp_pebble::{exact_bb, PebbleError};
 use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// How long the acceptor sleeps when `accept` has nothing for it.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Bound on one connect that wakes the acceptor at shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Read timeout on handler sockets; bounds how long a handler takes to
-/// notice the shutdown flag.
+/// Pause before a failed wake-up connect is retried.
+const WAKE_RETRY: Duration = Duration::from_millis(1);
+
+/// Read timeout on handler sockets; bounds how long an idle handler
+/// takes to notice the shutdown flag.
 const HANDLER_READ_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Write timeout on handler sockets, so one dead-but-unclosed peer
@@ -186,6 +202,10 @@ pub struct ServeReport {
 /// invariant (admission bound, drain condition) easy to believe.
 struct Shared {
     shutdown: AtomicBool,
+    /// Where [`Shared::begin_shutdown`] connects to wake the acceptor.
+    wake: SocketAddr,
+    /// Set once the acceptor has returned: no wake-up is needed after.
+    acceptor_exited: AtomicBool,
     /// Admitted-but-unanswered pebble jobs (waiting for a slot or
     /// solving).
     pending: AtomicUsize,
@@ -199,9 +219,11 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(threads: usize) -> Shared {
+    fn new(threads: usize, wake: SocketAddr) -> Shared {
         Shared {
             shutdown: AtomicBool::new(false),
+            wake,
+            acceptor_exited: AtomicBool::new(false),
             pending: AtomicUsize::new(0),
             slots: Slots::new(threads.max(1)),
             connections: AtomicU64::new(0),
@@ -217,8 +239,22 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    /// Flags shutdown and, on the first call, wakes the acceptor blocked
+    /// in `accept` by connecting to the listener. A failed connect is
+    /// retried until the acceptor has exited, so shutdown cannot hang on
+    /// one lost wake-up.
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        while !self.acceptor_exited.load(Ordering::SeqCst) {
+            match TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT) {
+                // queued on the listener: the acceptor takes it, sees the
+                // flag and exits
+                Ok(_) => return,
+                Err(_) => std::thread::sleep(WAKE_RETRY),
+            }
+        }
     }
 
     /// Claims one pending slot iff fewer than `cap` are taken. The
@@ -374,8 +410,7 @@ impl Server {
     // audit:allow(obs-coverage) lifetime loop — emits the end-of-run counter set; per-request spans live in execute_job/handle_conn
     pub fn run(self) -> io::Result<ServeReport> {
         let _adopt = jp_obs::adopt(self.ticket);
-        self.listener.set_nonblocking(true)?;
-        let shared = Shared::new(self.cfg.threads);
+        let shared = Shared::new(self.cfg.threads, wake_addr(self.listener.local_addr()?));
         let cfg = &self.cfg;
         let memo = &self.memo;
         // Tail sampler: installed as a jp-obs *tap* so it rides
@@ -430,10 +465,22 @@ impl Server {
     }
 }
 
-/// The acceptor: polls the non-blocking listener, spawns a handler
-/// per connection (each adopting the acceptor's ticket), and initiates
-/// shutdown when the `max_requests` bound fires. Returns once shutdown
-/// is flagged.
+/// Where to connect to reach a listener bound to `bound`: the address
+/// itself, or loopback of the same family for an unspecified one.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        bound.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    bound
+}
+
+/// The acceptor: blocks in `accept` and spawns a handler per connection
+/// (each adopting the acceptor's ticket). Returns at the first
+/// connection accepted once shutdown is flagged — the wake-up from
+/// [`Shared::begin_shutdown`] if no other — or when the listener fails.
 fn accept_loop<'scope, 'env>(
     listener: &'scope TcpListener,
     s: &'scope std::thread::Scope<'scope, 'env>,
@@ -443,12 +490,10 @@ fn accept_loop<'scope, 'env>(
     xray: Option<&'scope Xray>,
 ) {
     let ticket = jp_obs::ticket();
-    while !shared.shutting_down() {
-        if cfg.max_requests > 0 && shared.completed.load(Ordering::SeqCst) >= cfg.max_requests {
-            shared.begin_shutdown();
-            break;
-        }
+    loop {
         match listener.accept() {
+            // once shutdown is flagged, whatever was accepted is dropped
+            _ if shared.shutting_down() => break,
             Ok((stream, _peer)) => {
                 shared.connections.fetch_add(1, Ordering::SeqCst);
                 s.spawn(move || {
@@ -456,15 +501,17 @@ fn accept_loop<'scope, 'env>(
                     handle_conn(stream, shared, memo, cfg, xray)
                 });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
                 // a broken listener cannot serve anyone: drain and exit
+                // (this thread is the acceptor, so nothing needs waking)
                 tally(&shared.errors, "errors");
-                shared.begin_shutdown();
+                shared.shutdown.store(true, Ordering::SeqCst);
+                break;
             }
         }
     }
+    shared.acceptor_exited.store(true, Ordering::SeqCst);
 }
 
 /// One connection: a synchronous request/response loop over the frame
@@ -477,8 +524,7 @@ fn handle_conn(
     cfg: &ServeConfig,
     xray: Option<&Xray>,
 ) {
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(Some(HANDLER_READ_TIMEOUT)).is_err()
+    if stream.set_read_timeout(Some(HANDLER_READ_TIMEOUT)).is_err()
         || stream
             .set_write_timeout(Some(HANDLER_WRITE_TIMEOUT))
             .is_err()
@@ -489,6 +535,8 @@ fn handle_conn(
     // a buffered reader usually takes a whole frame, header and payload,
     // in one read
     let mut reader = BufReader::new(&stream);
+    // the response frame being sent, reused from request to request
+    let mut frame = Vec::new();
     loop {
         let payload = match proto::read_frame(&mut reader) {
             Ok(FrameRead::Frame(p)) => p,
@@ -508,7 +556,7 @@ fn handle_conn(
             Ok(req) => (req.id, req.request, req.body),
             Err(reason) => {
                 tally(&shared.errors, "errors");
-                if respond(&stream, 0, ResponseBody::Error { reason }).is_err() {
+                if respond(&stream, &mut frame, 0, ResponseBody::Error { reason }).is_err() {
                     return;
                 }
                 continue;
@@ -535,7 +583,7 @@ fn handle_conn(
             // serve.wire: response serialization + socket write, the
             // last leg of the request's critical path
             let _wire = jp_obs::span("serve", "wire");
-            respond(&stream, id, reply)
+            respond(&stream, &mut frame, id, reply)
         };
         if let (Some(x), Some(rid)) = (xray, request) {
             x.finish(rid, micros(t0.elapsed()), failed || wrote.is_err());
@@ -583,7 +631,11 @@ fn admit(
     let _pending = PendingGuard(shared);
     let admitted = Instant::now();
     let _slot = shared.slots.acquire();
-    execute_job(admitted, shared, solve)
+    let body = execute_job(admitted, shared, solve);
+    if cfg.max_requests > 0 && shared.completed.load(Ordering::SeqCst) >= cfg.max_requests {
+        shared.begin_shutdown();
+    }
+    body
 }
 
 /// Builds the `Stats` response from the shared counters and the warm
@@ -601,16 +653,20 @@ fn stats_body(shared: &Shared, memo: &Memo) -> ResponseBody {
     }
 }
 
-/// Writes one response frame.
-fn respond(stream: &TcpStream, id: u64, body: ResponseBody) -> io::Result<()> {
+/// Encodes one response frame into `frame` and writes it in one call.
+fn respond(
+    mut stream: &TcpStream,
+    frame: &mut Vec<u8>,
+    id: u64,
+    body: ResponseBody,
+) -> io::Result<()> {
     let resp = Response {
         v: WIRE_VERSION,
         id,
         body,
     };
-    let mut w = io::BufWriter::new(stream);
-    proto::write_message(&mut w, &resp)?;
-    w.flush()
+    proto::encode_response(&resp, frame)?;
+    stream.write_all(frame)
 }
 
 /// Runs one admitted job in its solver slot and does the per-request
@@ -715,6 +771,12 @@ mod tests {
         }
     }
 
+    /// A wake address for a `Shared` without an acceptor: these tests
+    /// never begin a shutdown.
+    fn unused_wake() -> SocketAddr {
+        SocketAddr::from((Ipv4Addr::LOCALHOST, 9))
+    }
+
     fn free_slots(shared: &Shared) -> usize {
         lock(&shared.slots.count).free
     }
@@ -722,7 +784,7 @@ mod tests {
     #[test]
     fn no_more_than_threads_solves_hold_a_slot_at_once() {
         for threads in [1, 2, 3] {
-            let shared = Shared::new(threads);
+            let shared = Shared::new(threads, unused_wake());
             let cfg = ServeConfig {
                 threads,
                 max_pending: usize::MAX,
@@ -761,7 +823,7 @@ mod tests {
 
     #[test]
     fn a_panicking_solve_is_answered_and_releases_both_slots() {
-        let shared = Shared::new(1);
+        let shared = Shared::new(1, unused_wake());
         let cfg = ServeConfig::default();
         let died = admit(1, &shared, &cfg, || -> ResponseBody {
             panic!("solver bug")

@@ -7,7 +7,9 @@
 use jp_serve::loadgen::{expected_costs, query_pool, run_loadgen, LoadgenConfig};
 use jp_serve::proto::{PebbleAlgo, Request, RequestBody, ResponseBody, WIRE_VERSION};
 use jp_serve::{Client, ServeConfig, ServeReport, Server};
+use std::io::Write;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// Binds a server on an ephemeral loopback port and runs it on a
 /// spawned thread; returns the address and the join handle.
@@ -21,6 +23,30 @@ fn start_server(
     let addr = server.local_addr().expect("local addr").to_string();
     let handle = std::thread::spawn(move || server.run());
     (addr, handle)
+}
+
+/// Writes `req` as one frame.
+fn send(stream: &mut std::net::TcpStream, req: &Request) {
+    let mut frame = Vec::new();
+    jp_serve::proto::encode_request(req, &mut frame).expect("encode");
+    stream.write_all(&frame).expect("write");
+}
+
+/// Joins the server thread, failing the test if it has not stopped
+/// within `secs` seconds.
+fn join_within(
+    handle: std::thread::JoinHandle<std::io::Result<ServeReport>>,
+    secs: u64,
+) -> ServeReport {
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while !handle.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "server still running after {secs} s"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.join().expect("server thread").expect("server run")
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -166,7 +192,7 @@ fn wire_version_mismatch_is_answered_not_dropped() {
         request: None,
         body: RequestBody::Ping,
     };
-    jp_serve::proto::write_message(&mut stream, &req).expect("write");
+    send(&mut stream, &req);
     let payload = match jp_serve::proto::read_frame(&mut stream).expect("read") {
         jp_serve::proto::FrameRead::Frame(p) => p,
         other => panic!("expected a frame, got {other:?}"),
@@ -321,7 +347,7 @@ fn pebble_traced_as(addr: &str, request: u64, graph: jp_graph::BipartiteGraph) -
             algo: PebbleAlgo::Auto,
         },
     };
-    jp_serve::proto::write_message(&mut stream, &req).expect("write");
+    send(&mut stream, &req);
     match jp_serve::proto::read_frame(&mut stream).expect("read") {
         jp_serve::proto::FrameRead::Frame(p) => {
             jp_serve::proto::parse_response(&p).expect("parse").body
@@ -415,4 +441,38 @@ fn max_requests_bound_shuts_the_server_down_by_itself() {
     assert!(served.drained, "{served:?}");
     // whatever was answered before the bound fired is correct
     assert_eq!(report.mismatches, 0, "{report:?}");
+}
+
+#[test]
+fn a_server_bound_to_the_unspecified_address_stops_on_shutdown() {
+    // the wake-up connect goes to loopback, since 0.0.0.0 is no
+    // destination
+    let (addr, handle) = start_server(ServeConfig {
+        addr: "0.0.0.0:0".to_string(),
+        ..ServeConfig::default()
+    });
+    let port = addr.rsplit(':').next().expect("port");
+    let mut client = Client::connect(format!("127.0.0.1:{port}")).expect("connect");
+    assert_eq!(
+        client.request(RequestBody::Ping).expect("ping").body,
+        ResponseBody::Pong
+    );
+    let resp = client.request(RequestBody::Shutdown).expect("shutdown");
+    assert_eq!(resp.body, ResponseBody::ShuttingDown);
+    let served = join_within(handle, 10);
+    assert!(served.drained, "{served:?}");
+    assert_eq!(served.connections, 1, "{served:?}");
+}
+
+#[test]
+fn an_idle_open_connection_does_not_hold_up_shutdown() {
+    let (addr, handle) = start_server(ServeConfig::default());
+    // connected, never sends a byte, and stays open past the stop
+    let idle = std::net::TcpStream::connect(addr.as_str()).expect("connect");
+    let mut client = Client::connect(addr.as_str()).expect("connect");
+    let _ = client.request(RequestBody::Shutdown).expect("shutdown");
+    let served = join_within(handle, 10);
+    assert!(served.drained, "{served:?}");
+    assert_eq!(served.connections, 2, "{served:?}");
+    drop(idle);
 }
