@@ -13,6 +13,7 @@
 //! Every rule accepts `level = "deny" | "warn" | "allow"`: `deny` fails
 //! the run, `warn` prints but passes, `allow` disables the rule.
 
+use crate::rules;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -113,7 +114,10 @@ impl Config {
     }
 
     /// Parses the TOML subset. Unknown syntax is an error: a config
-    /// typo silently disabling a lint would defeat the gate.
+    /// typo silently disabling a lint would defeat the gate. So is a
+    /// `[section]` that is neither `[audit]` nor a rule in
+    /// [`rules::ALL`]: a misspelled or retired rule's settings would
+    /// otherwise be ignored without a word.
     pub fn parse(text: &str) -> Result<Config, ConfigError> {
         let mut sections: BTreeMap<String, Section> = BTreeMap::new();
         let mut current = String::new();
@@ -125,6 +129,15 @@ impl Config {
             }
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 current = name.trim().to_string();
+                if current != "audit" && !rules::ALL.contains(&current.as_str()) {
+                    return Err(ConfigError {
+                        line: idx + 1,
+                        message: format!(
+                            "unknown section [{current}]: not [audit] and not one of the rules {}",
+                            rules::ALL.join(", ")
+                        ),
+                    });
+                }
                 sections.entry(current.clone()).or_default();
                 continue;
             }
@@ -268,5 +281,15 @@ enabled = true
         assert!(Config::parse("not a kv line").is_err());
         assert!(Config::parse("k = [\"unterminated\"").is_err());
         assert!(Config::parse("k = 42").is_err(), "ints unsupported");
+    }
+
+    #[test]
+    fn rejects_sections_that_name_no_rule() {
+        let err = Config::parse("[audit]\n\n[obs-coverag]\nlevel = \"warn\"\n").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("[obs-coverag]"), "{err}");
+        for name in rules::ALL.iter().chain(&["audit"]) {
+            assert!(Config::parse(&format!("[{name}]")).is_ok(), "{name}");
+        }
     }
 }

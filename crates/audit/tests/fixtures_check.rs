@@ -243,3 +243,25 @@ fn binary_race_passes_on_the_clean_tree() {
     assert!(stdout.contains("ALPHA -> BETA"), "{stdout}");
     assert!(!dot.contains("color=red"), "{dot}");
 }
+
+#[test]
+fn a_section_naming_no_rule_is_a_config_error() {
+    let err = Config::parse(&fixture_config("unknown_section")).unwrap_err();
+    assert_eq!(err.line, 9, "{err}");
+    assert!(err.message.contains("[panic-freedom]"), "{err}");
+    let out = Command::new(env!("CARGO_BIN_EXE_jp-audit"))
+        .args(["check", "--root"])
+        .arg(fixture("unknown_section"))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "config errors exit 2:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("audit.toml:9: unknown section [panic-freedom]"),
+        "{stderr}"
+    );
+}

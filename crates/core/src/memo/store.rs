@@ -449,23 +449,21 @@ impl Memo {
         let Ok(rec) = serde_json::from_str::<MemoRecord>(line) else {
             return false;
         };
-        // Structural bounds before touching graph construction (whose
-        // constructor asserts on out-of-range endpoints).
+        // Structural bounds before touching graph construction;
+        // `try_new` checks the endpoints.
         if rec.left == 0
             || rec.right == 0
             || rec.left.saturating_add(rec.right) > MAX_FILE_VERTICES
             || rec.edges.is_empty()
             || rec.edges.len() > MAX_FILE_EDGES
             || rec.order.len() != rec.edges.len()
-            || rec
-                .edges
-                .iter()
-                .any(|&(l, r)| l >= rec.left || r >= rec.right)
             || rec.order.iter().any(|&e| e >= rec.edges.len())
         {
             return false;
         }
-        let g = BipartiteGraph::new(rec.left, rec.right, rec.edges.clone());
+        let Ok(g) = BipartiteGraph::try_new(rec.left, rec.right, rec.edges.clone()) else {
+            return false;
+        };
         if g.edges() != rec.edges.as_slice() {
             return false; // unsorted or duplicated edges: not a canonical key
         }

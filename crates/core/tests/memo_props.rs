@@ -24,7 +24,7 @@ fn family_graph() -> impl Strategy<Value = BipartiteGraph> {
         3 => generators::cycle(a.max(2)),
         4 => generators::star(a + b),
         5 => generators::spider(a + 2),
-        6 => generators::crown(a.clamp(2, 4)),
+        6 => generators::crown(a + 1),
         7 => generators::caterpillar(a + 1),
         _ => {
             let (k, l) = (a.clamp(2, 5), b.clamp(2, 4));

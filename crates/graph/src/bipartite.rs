@@ -83,20 +83,56 @@ struct BipartiteGraphData {
 }
 
 impl TryFrom<BipartiteGraphData> for BipartiteGraph {
-    type Error = String;
+    type Error = GraphError;
 
-    fn try_from(d: BipartiteGraphData) -> Result<Self, String> {
-        for &(l, r) in &d.edges {
-            if l >= d.left || r >= d.right {
-                return Err(format!(
-                    "edge ({l}, {r}) out of range for a {}×{} graph",
-                    d.left, d.right
-                ));
-            }
-        }
-        Ok(BipartiteGraph::new(d.left, d.right, d.edges))
+    fn try_from(d: BipartiteGraphData) -> Result<Self, GraphError> {
+        BipartiteGraph::try_new(d.left, d.right, d.edges)
     }
 }
+
+/// Isolated vertices a graph may declare beyond the `2m` its `m` edges
+/// can touch (see [`BipartiteGraph::try_new`]).
+pub const MAX_ISOLATED_VERTICES: u64 = 1 << 16;
+
+/// Why [`BipartiteGraph::try_new`] refused a graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GraphError {
+    /// An edge names a vertex its side does not have.
+    EndpointOutOfRange {
+        /// The offending edge `(l, r)`.
+        edge: (u32, u32),
+        /// Declared left partition size.
+        left: u32,
+        /// Declared right partition size.
+        right: u32,
+    },
+    /// `left + right` exceeds `2m + MAX_ISOLATED_VERTICES`.
+    TooManyVertices {
+        /// Declared `left + right`.
+        vertices: u64,
+        /// The cap for this edge count.
+        cap: u64,
+    },
+}
+
+impl fmt::Display for GraphError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GraphError::EndpointOutOfRange { edge, left, right } => write!(
+                f,
+                "edge ({}, {}) out of range for a {left}×{right} graph",
+                edge.0, edge.1
+            ),
+            GraphError::TooManyVertices { vertices, cap } => write!(
+                f,
+                "{vertices} vertices exceed the cap of {cap} \
+                 (2 per edge plus {MAX_ISOLATED_VERTICES} isolated)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GraphError {}
 
 impl From<BipartiteGraph> for BipartiteGraphData {
     fn from(g: BipartiteGraph) -> Self {
@@ -123,6 +159,10 @@ impl BipartiteGraph {
     /// assert_eq!(g.edge_count(), 2);
     /// ```
     ///
+    /// For trusted callers (generators, transformations of graphs that
+    /// already exist); untrusted input goes through
+    /// [`BipartiteGraph::try_new`].
+    ///
     /// # Panics
     /// Panics if an edge endpoint is out of range.
     pub fn new(left: u32, right: u32, mut edges: Vec<(u32, u32)>) -> Self {
@@ -147,6 +187,43 @@ impl BipartiteGraph {
         };
         g.rebuild_adjacency();
         g
+    }
+
+    /// The fallible [`BipartiteGraph::new`], for untrusted input (wire
+    /// frames, graph files, memo files): an out-of-range endpoint or an
+    /// oversized vertex count is a [`GraphError`], never a panic or an
+    /// allocation the input did not pay for.
+    ///
+    /// The vertex cap follows from the paper's normalization: `m` edges
+    /// touch at most `2m` vertices, and every other vertex is isolated,
+    /// which adds nothing to the pebbling cost. So `left + right` may
+    /// exceed `2m` only by [`MAX_ISOLATED_VERTICES`], enough for
+    /// non-joining tuples but not for a short input to demand gigabytes of
+    /// adjacency.
+    ///
+    /// ```
+    /// use jp_graph::{BipartiteGraph, GraphError};
+    ///
+    /// assert!(BipartiteGraph::try_new(2, 2, vec![(1, 0)]).is_ok());
+    /// assert!(matches!(
+    ///     BipartiteGraph::try_new(1, 1, vec![(0, 1)]),
+    ///     Err(GraphError::EndpointOutOfRange { .. })
+    /// ));
+    /// assert!(matches!(
+    ///     BipartiteGraph::try_new(4_000_000_000, 1, vec![(0, 0)]),
+    ///     Err(GraphError::TooManyVertices { .. })
+    /// ));
+    /// ```
+    pub fn try_new(left: u32, right: u32, edges: Vec<(u32, u32)>) -> Result<Self, GraphError> {
+        if let Some(&edge) = edges.iter().find(|&&(l, r)| l >= left || r >= right) {
+            return Err(GraphError::EndpointOutOfRange { edge, left, right });
+        }
+        let vertices = u64::from(left) + u64::from(right);
+        let cap = 2 * edges.len() as u64 + MAX_ISOLATED_VERTICES;
+        if vertices > cap {
+            return Err(GraphError::TooManyVertices { vertices, cap });
+        }
+        Ok(BipartiteGraph::new(left, right, edges))
     }
 
     fn rebuild_adjacency(&mut self) {
@@ -337,6 +414,48 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn new_rejects_out_of_range() {
         BipartiteGraph::new(1, 1, vec![(0, 1)]);
+    }
+
+    #[test]
+    fn try_new_classifies_bad_input() {
+        assert_eq!(
+            BipartiteGraph::try_new(1, 1, vec![(0, 1)]),
+            Err(GraphError::EndpointOutOfRange {
+                edge: (0, 1),
+                left: 1,
+                right: 1
+            })
+        );
+        // the frame that once aborted jp serve: 4e9 declared vertices,
+        // two edges
+        let err = BipartiteGraph::try_new(4_000_000_000, 1, vec![(0, 0), (1, 0)]).unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::TooManyVertices {
+                vertices: 4_000_000_001,
+                cap: 4 + MAX_ISOLATED_VERTICES
+            }
+        );
+        assert!(err.to_string().contains("4000000001"), "{err}");
+        // the cap itself is accepted, one more is not
+        let at_cap = MAX_ISOLATED_VERTICES as u32 + 1;
+        assert!(BipartiteGraph::try_new(at_cap, 1, vec![(0, 0)]).is_ok());
+        assert!(BipartiteGraph::try_new(at_cap + 2, 1, vec![(0, 0)]).is_err());
+        // valid input builds exactly what `new` builds
+        assert_eq!(
+            BipartiteGraph::try_new(2, 2, vec![(1, 1), (0, 0), (1, 1)]).unwrap(),
+            BipartiteGraph::new(2, 2, vec![(1, 1), (0, 0), (1, 1)])
+        );
+    }
+
+    #[test]
+    fn serde_rejects_what_try_new_rejects() {
+        let huge = r#"{"left":4000000000,"right":1,"edges":[[0,0],[1,0]]}"#;
+        let err = serde_json::from_str::<BipartiteGraph>(huge).unwrap_err();
+        assert!(err.to_string().contains("exceed the cap"), "{err}");
+        let out = r#"{"left":1,"right":1,"edges":[[0,1]]}"#;
+        let err = serde_json::from_str::<BipartiteGraph>(out).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod metrics;
 pub mod properties;
 pub mod traversal;
 
-pub use bipartite::{quotient, BipartiteGraph, Side, Vertex};
+pub use bipartite::{quotient, BipartiteGraph, GraphError, Side, Vertex, MAX_ISOLATED_VERTICES};
 pub use components::{betti_number, ComponentMap};
 pub use graph::Graph;
 pub use line_graph::line_graph;

@@ -327,25 +327,20 @@ struct GraphData {
 }
 
 impl DraftRequest {
-    /// Range-checks the edges and builds the graph.
+    /// Builds the graph through [`BipartiteGraph::try_new`], which
+    /// range-checks the edges and caps the vertex count.
     fn build(self) -> Result<Request, String> {
         let body = match self.body {
             DraftBody::Ready(body) => body,
             DraftBody::Pebble {
                 graph: GraphData { left, right, edges },
                 algo,
-            } => {
-                if let Some(&(l, r)) = edges.iter().find(|&&(l, r)| l >= left || r >= right) {
-                    return Err(format!(
-                        "field `body` of `Request`: field `graph` of `RequestBody`: \
-                         edge ({l}, {r}) out of range for a {left}×{right} graph"
-                    ));
-                }
-                RequestBody::Pebble {
-                    graph: BipartiteGraph::new(left, right, edges),
-                    algo,
-                }
-            }
+            } => RequestBody::Pebble {
+                graph: BipartiteGraph::try_new(left, right, edges).map_err(|e| {
+                    format!("field `body` of `Request`: field `graph` of `RequestBody`: {e}")
+                })?,
+                algo,
+            },
         };
         Ok(Request {
             v: self.v,

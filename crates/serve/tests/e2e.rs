@@ -212,6 +212,57 @@ fn wire_version_mismatch_is_answered_not_dropped() {
 }
 
 #[test]
+fn a_huge_declared_vertex_count_is_an_error_and_the_connection_lives_on() {
+    // 4e9 declared vertices behind two edges: building that graph's
+    // adjacency would ask for ~96 GB. The frame is written by hand, so
+    // nothing in this test builds the graph either.
+    let (addr, handle) = start_server(ServeConfig::default());
+    let mut stream = std::net::TcpStream::connect(addr.as_str()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    let payload = br#"{"v":1,"id":1,"request":null,"body":{"Pebble":{"graph":{"left":4000000000,"right":1,"edges":[[0,0],[1,0]]},"algo":"Auto"}}}"#;
+    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame).expect("write");
+    let next_response = |stream: &mut std::net::TcpStream| match jp_serve::proto::read_frame(stream)
+        .expect("read")
+    {
+        jp_serve::proto::FrameRead::Frame(p) => jp_serve::proto::parse_response(&p).expect("parse"),
+        other => panic!("expected a frame, got {other:?}"),
+    };
+    match next_response(&mut stream).body {
+        ResponseBody::Error { reason } => {
+            assert!(reason.contains("4000000001 vertices"), "{reason}")
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    // the same connection still answers a normal request
+    let req = Request {
+        v: WIRE_VERSION,
+        id: 2,
+        request: None,
+        body: RequestBody::Pebble {
+            graph: jp_graph::generators::spider(3),
+            algo: PebbleAlgo::Auto,
+        },
+    };
+    send(&mut stream, &req);
+    let resp = next_response(&mut stream);
+    assert_eq!(resp.id, 2);
+    assert!(
+        matches!(resp.body, ResponseBody::Cost { .. }),
+        "{:?}",
+        resp.body
+    );
+    drop(stream);
+    let mut client = Client::connect(addr.as_str()).expect("connect");
+    let _ = client.request(RequestBody::Shutdown).expect("shutdown");
+    let served = handle.join().expect("server thread").expect("server run");
+    assert_eq!((served.errors, served.completed), (1, 1), "{served:?}");
+}
+
+#[test]
 fn warm_restart_serves_the_second_pass_from_the_checkpoint() {
     let dir = fresh_dir("warm");
     let memo_file = dir.join("memo.jsonl");
